@@ -45,7 +45,7 @@ KIND_COMPACT = 1
 
 @jit
 def _locate(dx, nseg, x):
-    """Segment index and clamped fractional position, as ``_locate`` does.
+    """Segment index and clamped fractional position, as ``spline.locate``.
 
     Mirrors ``scaled.astype(int)`` (truncation toward zero) and the two
     ``np.clip`` calls, including their sign-of-zero behaviour: a
@@ -198,21 +198,27 @@ def eam_pass1(
 
 
 @jit
-def eam_pass2(i, j, d, r, dphi, dfd, demb, n):
+def eam_pass2(i, j, dx, dy, dz, r, dphi, dfd, demb, n):
     """Pass 2: force coefficients and the per-axis bincount scatter.
 
-    ``forces[:, k] = bincount(i, fvec_k) - bincount(j, fvec_k)`` becomes
-    two accumulator matrices subtracted elementwise at the end.
+    ``forces[:, k] = bincount(i, c*d_k) - bincount(j, c*d_k)`` over the
+    displacement components ``dx``, ``dy``, ``dz`` becomes two
+    accumulator matrices subtracted elementwise at the end.
     """
     m = r.shape[0]
     acc_i = np.zeros((n, 3))
     acc_j = np.zeros((n, 3))
     for q in range(m):
         c = (dphi[q] + (demb[i[q]] + demb[j[q]]) * dfd[q]) / r[q]
-        for k in range(3):
-            w = c * d[q, k]
-            acc_i[i[q], k] += w
-            acc_j[j[q], k] += w
+        wx = c * dx[q]
+        wy = c * dy[q]
+        wz = c * dz[q]
+        acc_i[i[q], 0] += wx
+        acc_i[i[q], 1] += wy
+        acc_i[i[q], 2] += wz
+        acc_j[j[q], 0] += wx
+        acc_j[j[q], 1] += wy
+        acc_j[j[q], 2] += wz
     return acc_i - acc_j
 
 

@@ -25,26 +25,59 @@ from repro.potential.eam import EAMPotential
 class PairTable:
     """A half pair list with precomputed geometry.
 
-    ``i``/``j`` index a flat particle array; ``d`` is the minimum-image
-    vector from i to j; ``r`` its length.  Pairs beyond the cutoff have
-    already been dropped.
+    ``i``/``j`` index a flat particle array; ``axes`` holds the x, y and
+    z components of the minimum-image vector from i to j as three
+    contiguous arrays, and ``r`` its length.  Pairs beyond the cutoff
+    have already been dropped.
     """
 
     i: np.ndarray
     j: np.ndarray
-    d: np.ndarray
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     r: np.ndarray
+
+    @property
+    def d(self) -> np.ndarray:
+        """The ``(P, 3)`` displacement vectors, stacked on access."""
+        return np.stack(self.axes, axis=1)
 
     @classmethod
     def from_pairs(cls, x: np.ndarray, i, j, box, cutoff: float) -> "PairTable":
+        """Geometry of candidate pairs ``(i, j)`` over positions ``x``.
+
+        Works per axis on contiguous columns: gather, subtract, fold to
+        the minimum image, then ``r = sqrt(dx*dx + dy*dy + dz*dz)``.  The
+        arithmetic is element for element that of ``Box.minimum_image``
+        and ``np.linalg.norm`` on ``(P, 3)`` vectors, so the table is
+        bit-identical to one built from them.
+        """
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        d = np.asarray(x)[j] - np.asarray(x)[i]
-        if box is not None:
-            d = box.minimum_image(d)
-        r = np.linalg.norm(d, axis=-1) if len(i) else np.empty(0)
-        keep = (r > 1e-12) & (r <= cutoff)
-        return cls(i=i[keep], j=j[keep], d=d[keep], r=r[keep])
+        columns = np.ascontiguousarray(np.asarray(x).T)
+        axes = []
+        for k in range(3):
+            dk = columns[k].take(j)
+            dk -= columns[k].take(i)
+            if box is not None:
+                dk = np.asarray(dk, dtype=float)
+                length = box.lengths[k]
+                shift = dk / length
+                np.rint(shift, out=shift)
+                shift *= length
+                dk -= shift
+            axes.append(dk)
+        dx, dy, dz = axes
+        r = dx * dx
+        r += dy * dy
+        r += dz * dz
+        np.sqrt(r, out=r)
+        keep = np.flatnonzero((r > 1e-12) & (r <= cutoff))
+        return cls(
+            i=i.take(keep),
+            j=j.take(keep),
+            axes=tuple(dk.take(keep) for dk in axes),
+            r=r.take(keep),
+        )
 
     def __len__(self) -> int:
         return len(self.i)
@@ -92,7 +125,7 @@ def eam_evaluate(
             # by construction (same accumulation order, same pairwise
             # sums); the energy reductions stay NumPy-side in both paths.
             phi, rho, emb, forces = kernels.eam_fused(
-                payloads, pairs.i, pairs.j, pairs.d, pairs.r, n
+                payloads, pairs.i, pairs.j, pairs.axes, pairs.r, n
             )
             pair_energy = float(np.sum(phi))
             embed_energy = float(np.sum(emb[active]))
@@ -103,23 +136,28 @@ def eam_evaluate(
                 pair_energy=pair_energy,
                 embed_energy=embed_energy,
             )
-    # Pass 1: pair energy and density accumulation.  bincount scatters:
-    # one contiguous accumulation per endpoint array instead of the
-    # element-wise np.add.at loop.
-    phi, dphi = pot.tables.pair.value_and_derivative(pairs.r)
-    fd, dfd = pot.tables.density.value_and_derivative(pairs.r)
+    # Pass 1: pair energy and density accumulation, both tables read at
+    # one located segment per pair.  bincount scatters: one contiguous
+    # accumulation per endpoint array instead of the element-wise
+    # np.add.at loop.
+    phi, dphi, fd, dfd = pot.tables.pair_and_density(pairs.r)
     rho = np.bincount(pairs.i, weights=fd, minlength=n) + np.bincount(
         pairs.j, weights=fd, minlength=n
     )
-    # Pass 2: embedding derivative closes the force expression.
+    # Pass 2: embedding derivative closes the force expression,
+    # (dphi + (F'_i + F'_j) * df) / r evaluated in place.
     emb, demb = pot.tables.embedding.value_and_derivative(rho)
-    coeff = (dphi + (demb[pairs.i] + demb[pairs.j]) * dfd) / pairs.r
-    fvec = coeff[:, None] * pairs.d
+    coeff = demb[pairs.i]
+    coeff += demb[pairs.j]
+    coeff *= dfd
+    coeff += dphi
+    coeff /= pairs.r
     forces = np.empty((n, 3))
-    for k in range(3):
-        forces[:, k] = np.bincount(
-            pairs.i, weights=fvec[:, k], minlength=n
-        ) - np.bincount(pairs.j, weights=fvec[:, k], minlength=n)
+    for k, dk in enumerate(pairs.axes):
+        fk = coeff * dk
+        forces[:, k] = np.bincount(pairs.i, weights=fk, minlength=n) - np.bincount(
+            pairs.j, weights=fk, minlength=n
+        )
     pair_energy = float(np.sum(phi))
     embed_energy = float(np.sum(emb[active]))
     return EAMResult(

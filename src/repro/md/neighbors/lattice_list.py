@@ -133,6 +133,10 @@ class LatticeNeighborList:
             self.centrals = np.asarray(centrals, dtype=np.int64)
         #: Linked lists of run-away atoms keyed by host row.
         self.hosts: dict[int, list[RunawayAtom]] = {}
+        #: ``(occupancy, i, j)`` of the last :meth:`lattice_pairs` call.
+        self._pair_memo: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: Run-away stencils by host row (static: they depend on the row only).
+        self._stencils: dict[int, np.ndarray] = {}
         self._build_matrix()
 
     # ------------------------------------------------------------------
@@ -194,10 +198,30 @@ class LatticeNeighborList:
     def lattice_pairs(self, state: AtomState) -> tuple[np.ndarray, np.ndarray]:
         """Half pair list (i, j) of interacting on-lattice atoms.
 
-        Row indices into ``state``; each unordered pair appears once.
-        Only meaningful when every site is a central (serial use).
+        Row indices into ``state``; each unordered pair appears once, in
+        (central, offset) order.  Requires every site to be a central
+        (serial use): a subset list would silently miss pairs.
+
+        The pairs depend only on occupancy, which changes far less often
+        than positions, so the last result is memoized and reused until
+        the occupancy differs.  The returned arrays are read-only.
         """
+        if len(self.centrals) != len(self.sites):
+            raise ValueError(
+                "lattice_pairs needs every site as a central; this list "
+                f"has {len(self.centrals)} centrals over {len(self.sites)} sites"
+            )
         occ = state.occupied
+        memo = self._pair_memo
+        if memo is None or not np.array_equal(memo[0], occ):
+            i, j = self._enumerate_pairs(occ)
+            i.flags.writeable = False
+            j.flags.writeable = False
+            memo = self._pair_memo = (occ, i, j)
+        return memo[1], memo[2]
+
+    def _enumerate_pairs(self, occ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Uncached half pair enumeration behind :meth:`lattice_pairs`."""
         c = self.centrals[:, None]
         nbr = self.matrix
         mask = self.valid & (nbr > c) & occ[nbr] & occ[self.centrals][:, None]
@@ -324,7 +348,12 @@ class LatticeNeighborList:
         reaches ``cutoff + 2 * link + skin``; duplicates from periodic
         aliasing are removed (safe: two images of one site can never both
         be within the cutoff of a point once the box exceeds 2*cutoff).
+        The stencil depends on the host row alone, so each is built once
+        and cached as a read-only array.
         """
+        stencil = self._stencils.get(host_row)
+        if stencil is not None:
+            return stencil
         link = math.sqrt(3.0) / 4.0 * self.lattice.a
         reach = self.cutoff + 2.0 * link + self.skin
         rank = int(self.sites[host_row])
@@ -335,7 +364,10 @@ class LatticeNeighborList:
             idx = np.searchsorted(self.sites, neighbors)
             idx = np.minimum(idx, len(self.sites) - 1)
             rows = idx[self.sites[idx] == neighbors]
-        return np.unique(np.append(rows, host_row))
+        stencil = np.unique(np.append(rows, host_row))
+        stencil.flags.writeable = False
+        self._stencils[host_row] = stencil
+        return stencil
 
     def runaway_candidates(self) -> list[tuple[RunawayAtom, np.ndarray]]:
         """(atom, candidate rows) per run-away atom.
@@ -355,10 +387,14 @@ class LatticeNeighborList:
         """
         runs = self.runaways
         order = {id(a): idx for idx, a in enumerate(runs)}
+        hosts = np.array(sorted(self.hosts), dtype=np.int64)
         pairs = []
         for atom in runs:
-            for host in self._runaway_stencil(atom.host).tolist():
-                for other in self.hosts.get(host, ()):
+            # Stencils are sorted, so the hosts found come in stencil order.
+            stencil = self._runaway_stencil(atom.host)
+            found = stencil.take(np.searchsorted(stencil, hosts), mode="clip")
+            for host in hosts[found == hosts].tolist():
+                for other in self.hosts[host]:
                     if order[id(other)] > order[id(atom)]:
                         pairs.append((atom, other))
         return pairs

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.potential.spline import SplineTable
+from repro.potential.spline import SplineTable, locate
 
 
 class CompactTable:
@@ -96,13 +96,6 @@ class CompactTable:
         d = np.where(m == n, s[n] - s[n - 1], d)
         return d
 
-    def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        scaled = x / self.dx
-        m = np.clip(scaled.astype(int), 0, self.n - 1)
-        p = np.clip(scaled - m, 0.0, 1.0)
-        return m, p
-
     def _segment(self, m):
         """On-the-fly cubic coefficients (c3, c4, c5, c6) of segments ``m``."""
         s = self.samples
@@ -117,23 +110,26 @@ class CompactTable:
 
     def __call__(self, x):
         """Interpolated value(s) at ``x`` (clamped to the table domain)."""
-        m, p = self._locate(x)
+        m, p = locate(x, self.dx, self.n)
         c3, c4, c5, c6 = self._segment(m)
         return ((c3 * p + c4) * p + c5) * p + c6
 
     def derivative(self, x):
         """Interpolated derivative(s) at ``x``."""
-        m, p = self._locate(x)
+        m, p = locate(x, self.dx, self.n)
         c3, c4, c5, _c6 = self._segment(m)
         return ((3.0 * c3 * p + 2.0 * c4) * p + c5) / self.dx
 
-    def value_and_derivative(self, x):
-        """Both value and derivative with a single reconstruction."""
-        m, p = self._locate(x)
+    def evaluate(self, m, p):
+        """Value and derivative at located segments ``m``, positions ``p``."""
         c3, c4, c5, c6 = self._segment(m)
         value = ((c3 * p + c4) * p + c5) * p + c6
         deriv = ((3.0 * c3 * p + 2.0 * c4) * p + c5) / self.dx
         return value, deriv
+
+    def value_and_derivative(self, x):
+        """Both value and derivative with a single reconstruction."""
+        return self.evaluate(*locate(x, self.dx, self.n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from repro.potential.compact import CompactTable
-from repro.potential.spline import SplineTable
+from repro.potential.spline import SplineTable, locate
 
 Layout = Literal["traditional", "compacted"]
 
@@ -50,6 +50,20 @@ class TableSet:
     @property
     def layout(self) -> str:
         return self.pair.layout
+
+    def pair_and_density(self, r):
+        """``(phi, dphi, f, df)`` at distances ``r`` from one segment locate.
+
+        Bit-identical to ``pair.value_and_derivative(r)`` followed by
+        ``density.value_and_derivative(r)`` (paper §2.1.2: both tables
+        share one grid, so the segment and fraction are found once).
+        Tables on different grids are located separately.
+        """
+        pair, density = self.pair, self.density
+        if pair.n != density.n or pair.dx != density.dx:
+            return (*pair.value_and_derivative(r), *density.value_and_derivative(r))
+        m, p = locate(r, pair.dx, pair.n)
+        return (*pair.evaluate(m, p), *density.evaluate(m, p))
 
     def compacted(self) -> "TableSet":
         """The same tables in the compacted layout."""

@@ -21,6 +21,8 @@ formula the paper compacts against:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -62,6 +64,30 @@ def segment_coefficients(samples: np.ndarray, dx: float) -> np.ndarray:
     coeff[:, 1] = 2.0 * coeff[:, 4] / dx
     coeff[:, 0] = 3.0 * coeff[:, 3] / dx
     return coeff
+
+
+def locate(x, dx: float, n: int):
+    """Segment index ``m`` and clamped fractional position ``p`` of ``x``.
+
+    Shared by both table layouts: tables on one grid (same ``dx`` and
+    ``n``) locate a query identically, so one call serves them all.
+    """
+    scaled = np.asarray(np.asarray(x, dtype=float) / dx)
+    m = scaled.astype(int)
+    np.clip(m, 0, n - 1, out=m)
+    p = scaled
+    p -= m
+    np.clip(p, 0.0, 1.0, out=p)
+    return m, p
+
+
+def _horner(columns, m, p):
+    """``((c[0]*p + c[1])*p + ...)`` over columns gathered at ``m``, in place."""
+    out = columns[0].take(m)
+    for c in columns[1:]:
+        out *= p
+        out += c.take(m)
+    return out
 
 
 class SplineTable:
@@ -110,32 +136,38 @@ class SplineTable:
         """Memory footprint of the table payload in bytes."""
         return self.coeff.nbytes
 
-    def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        scaled = x / self.dx
-        m = np.clip(scaled.astype(int), 0, self.n - 1)
-        p = np.clip(scaled - m, 0.0, 1.0)
-        return m, p
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven coefficient columns as contiguous arrays.
+
+        Derived lazily on the first lookup and cached (the table is
+        immutable after construction), so building a table stays cheap
+        and a gather reads one contiguous column instead of strided rows.
+        """
+        return tuple(np.ascontiguousarray(self.coeff[:, k]) for k in range(7))
+
+    def evaluate(self, m, p):
+        """Value and derivative at located segments ``m``, positions ``p``.
+
+        Horner's rule in place over gathered columns: the operations of
+        the row-gather expressions ``((C[m,3]*p + C[m,4])*p + ...)`` in
+        the same order, so the results are bit-identical to them, without
+        materialising a ``(P, 7)`` block.
+        """
+        cols = self.columns
+        return _horner(cols[3:], m, p), _horner(cols[:3], m, p)
 
     def __call__(self, x):
         """Interpolated value(s) at ``x`` (clamped to the table domain)."""
-        m, p = self._locate(x)
-        c = self.coeff[m]
-        return ((c[..., 3] * p + c[..., 4]) * p + c[..., 5]) * p + c[..., 6]
+        return _horner(self.columns[3:], *locate(x, self.dx, self.n))
 
     def derivative(self, x):
         """Interpolated derivative(s) at ``x``."""
-        m, p = self._locate(x)
-        c = self.coeff[m]
-        return (c[..., 0] * p + c[..., 1]) * p + c[..., 2]
+        return _horner(self.columns[:3], *locate(x, self.dx, self.n))
 
     def value_and_derivative(self, x):
         """Both value and derivative with a single table lookup."""
-        m, p = self._locate(x)
-        c = self.coeff[m]
-        value = ((c[..., 3] * p + c[..., 4]) * p + c[..., 5]) * p + c[..., 6]
-        deriv = (c[..., 0] * p + c[..., 1]) * p + c[..., 2]
-        return value, deriv
+        return self.evaluate(*locate(x, self.dx, self.n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

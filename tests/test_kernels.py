@@ -122,7 +122,7 @@ class TestEAMBitIdentity:
         empty = PairTable(
             i=np.empty(0, np.int64),
             j=np.empty(0, np.int64),
-            d=np.empty((0, 3)),
+            axes=(np.empty(0),) * 3,
             r=np.empty(0),
         )
         result = eam_evaluate(potential, 5, empty)

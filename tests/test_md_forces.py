@@ -85,7 +85,7 @@ class TestKernelCorrectness:
         result = eam_evaluate(potential, 3, PairTable(
             i=np.empty(0, dtype=np.int64),
             j=np.empty(0, dtype=np.int64),
-            d=np.empty((0, 3)),
+            axes=(np.empty(0),) * 3,
             r=np.empty(0),
         ))
         assert result.energy == 0.0
@@ -195,3 +195,92 @@ class TestStarKernels:
         )
         embed_e = float(np.sum(potential.embed(state.rho[state.occupied])))
         assert pair_e + embed_e == pytest.approx(e_total, rel=1e-12)
+
+
+def _cascade_engine(lattice, potential, layout, reference, monkeypatch):
+    """A 5-cell cascade engine, optionally on the reference force path."""
+    from repro.md import engine as md_engine
+    from repro.md.cascade import CascadeConfig, insert_pka
+    from repro.md.engine import MDConfig, MDEngine
+
+    from tests import reference_eam
+
+    with monkeypatch.context() as patch:
+        if reference:
+            patch.setattr(
+                md_engine, "compute_energy_forces", reference_eam.compute_energy_forces
+            )
+        eng = MDEngine(lattice, potential.with_layout(layout), MDConfig(seed=3))
+        eng.initialize(600.0)
+        insert_pka(eng.state, CascadeConfig(pka_energy=400.0), lattice)
+        eng.run(40, displacement_threshold=1.2, runaway_check_interval=5)
+    return eng
+
+
+class TestReferenceOracle:
+    """The fast force path against the test-side reference, bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["traditional", "compacted"])
+    def test_cascade_bit_identical(self, lattice5, potential, layout, monkeypatch):
+        fast = _cascade_engine(lattice5, potential, layout, False, monkeypatch)
+        ref = _cascade_engine(lattice5, potential, layout, True, monkeypatch)
+        assert fast.nblist.n_runaways > 0
+        for name in ("ids", "x", "v", "f", "rho"):
+            assert np.array_equal(getattr(fast.state, name), getattr(ref.state, name))
+        assert [r.potential_energy for r in fast.trace] == [
+            r.potential_energy for r in ref.trace
+        ]
+        assert [r.kinetic_energy for r in fast.trace] == [
+            r.kinetic_energy for r in ref.trace
+        ]
+        for a, b in zip(fast.nblist.runaways, ref.nblist.runaways, strict=True):
+            assert (a.id, a.host, a.rho) == (b.id, b.host, b.rho)
+            for name in ("x", "v", "f"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_build_pair_table_identical(self, lattice5, potential, monkeypatch):
+        from tests import reference_eam
+
+        eng = _cascade_engine(lattice5, potential, "traditional", False, monkeypatch)
+        state, nbl = eng.state, eng.nblist
+        assert nbl.n_runaways > 0 and state.nvacancies > 0
+        table, x, active, runs = build_pair_table(state, nbl, potential)
+        want, want_x, want_active, want_runs = reference_eam.build_pair_table(
+            state, nbl, potential
+        )
+        for name in ("i", "j", "d", "r"):
+            assert np.array_equal(getattr(table, name), getattr(want, name))
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(active, want_active)
+        assert runs == want_runs
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_from_pairs_identical(self, lattice5, potential, box5, dtype, periodic):
+        from tests import reference_eam
+
+        state = AtomState.perfect(lattice5)
+        rng = np.random.default_rng(9)
+        x = (state.x + rng.normal(0, 0.3, state.x.shape)).astype(dtype)
+        box = box5 if periodic else None
+        i, j = VerletNeighborList(box5, potential.cutoff).pairs(state.x)
+        got = PairTable.from_pairs(x, i, j, box, potential.cutoff)
+        want = reference_eam.pair_table(x, i, j, box, potential.cutoff)
+        for name in ("i", "j", "d", "r"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        fast = eam_evaluate(potential, state.n, got)
+        ref = reference_eam.eam_evaluate(potential, state.n, want)
+        assert np.array_equal(fast.forces, ref.forces)
+        assert np.array_equal(fast.rho, ref.rho)
+        assert fast.energy == ref.energy
+
+    def test_d_stacks_axes(self):
+        from tests import reference_eam
+
+        d = np.arange(12.0).reshape(4, 3)
+        t = PairTable(
+            i=np.arange(4), j=np.arange(4), axes=reference_eam.axes_of(d), r=np.ones(4)
+        )
+        assert np.array_equal(t.d, d)
+        assert all(a.flags.c_contiguous for a in t.axes)

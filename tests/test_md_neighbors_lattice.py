@@ -92,6 +92,61 @@ class TestLatticePairs:
             nbl.neighbor_rows(5)
 
 
+class TestPairMemo:
+    """The memoized half pairs always equal a fresh list's."""
+
+    @staticmethod
+    def _assert_fresh(nbl, state):
+        i, j = nbl.lattice_pairs(state)
+        want_i, want_j = LatticeNeighborList(nbl.lattice, CUTOFF).lattice_pairs(state)
+        assert np.array_equal(i, want_i)
+        assert np.array_equal(j, want_j)
+
+    def test_reused_until_occupancy_changes(self, lattice5):
+        nbl = LatticeNeighborList(lattice5, CUTOFF)
+        state = AtomState.perfect(lattice5)
+        i, j = nbl.lattice_pairs(state)
+        state.x += 0.1  # positions alone never invalidate
+        assert nbl.lattice_pairs(state)[0] is i
+        assert not i.flags.writeable and not j.flags.writeable
+        state.make_vacancy(10)
+        assert nbl.lattice_pairs(state)[0] is not i
+
+    def test_after_make_vacancy_and_occupy(self, lattice5):
+        nbl = LatticeNeighborList(lattice5, CUTOFF)
+        state = AtomState.perfect(lattice5)
+        self._assert_fresh(nbl, state)
+        state.make_vacancy(10)
+        self._assert_fresh(nbl, state)
+        state.occupy(10, 10, state.site_pos[10], np.zeros(3))
+        self._assert_fresh(nbl, state)
+
+    def test_after_runaway_escape_and_capture(self, lattice5):
+        nbl = LatticeNeighborList(lattice5, CUTOFF)
+        state = AtomState.perfect(lattice5)
+        self._assert_fresh(nbl, state)
+        state.x[20] += np.array([1.5, 0.0, 0.0])
+        assert nbl.update_runaways(state, threshold=1.2)["escaped"] == 1
+        self._assert_fresh(nbl, state)
+        nbl.runaways[0].x = state.site_pos[20] + 0.05
+        assert nbl.update_runaways(state, threshold=1.2)["captured"] == 1
+        self._assert_fresh(nbl, state)
+
+    def test_subset_centrals_rejected(self, lattice8):
+        nbl = LatticeNeighborList(lattice8, CUTOFF, centrals=np.arange(10))
+        with pytest.raises(ValueError, match="every site as a central"):
+            nbl.lattice_pairs(AtomState.perfect(lattice8))
+
+    def test_stencil_cached_read_only(self, lattice5):
+        from tests.reference_eam import runaway_stencil
+
+        nbl = LatticeNeighborList(lattice5, CUTOFF)
+        stencil = nbl._runaway_stencil(20)
+        assert nbl._runaway_stencil(20) is stencil
+        assert not stencil.flags.writeable
+        assert np.array_equal(stencil, runaway_stencil(nbl, 20))
+
+
 class TestRunaways:
     def _escaped_state(self, nblist):
         state = AtomState.perfect(nblist.lattice)

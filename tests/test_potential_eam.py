@@ -150,3 +150,69 @@ class TestLayoutInvariance:
         f1 = potential.pairwise_forces(pos, box)
         f2 = potential_compacted.pairwise_forces(pos, box)
         assert np.allclose(f1, f2, atol=1e-10)
+
+
+class TestPairAndDensity:
+    """One located segment serves both distance tables, bit for bit."""
+
+    @staticmethod
+    def _queries(xmax):
+        below = np.nextafter(xmax, 0.0)
+        rng = np.random.default_rng(2)
+        return np.concatenate(
+            [[0.0, below, xmax, xmax + 0.5, 2.0 * xmax], rng.uniform(0, xmax, 500)]
+        )
+
+    @pytest.mark.parametrize("layout", ["traditional", "compacted"])
+    def test_matches_separate_lookups(self, potential, layout):
+        tables = potential.with_layout(layout).tables
+        r = self._queries(tables.pair.xmax)
+        phi, dphi, fd, dfd = tables.pair_and_density(r)
+        want_phi, want_dphi = tables.pair.value_and_derivative(r)
+        want_fd, want_dfd = tables.density.value_and_derivative(r)
+        for got, want in [
+            (phi, want_phi), (dphi, want_dphi), (fd, want_fd), (dfd, want_dfd)
+        ]:
+            assert np.array_equal(got, want)
+        # ...the single-purpose methods...
+        assert np.array_equal(phi, tables.pair(r))
+        assert np.array_equal(dphi, tables.pair.derivative(r))
+        assert np.array_equal(fd, tables.density(r))
+        assert np.array_equal(dfd, tables.density.derivative(r))
+        # ...and the out-of-place, row-gather lookups of the test oracle.
+        from tests import reference_eam
+
+        want = (
+            *reference_eam.value_and_derivative(tables.pair, r),
+            *reference_eam.value_and_derivative(tables.density, r),
+        )
+        for got, ref in zip((phi, dphi, fd, dfd), want, strict=True):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("layout", ["traditional", "compacted"])
+    def test_empty_input(self, potential, layout):
+        tables = potential.with_layout(layout).tables
+        out = tables.pair_and_density(np.empty(0))
+        assert [a.shape for a in out] == [(0,)] * 4
+
+    def test_tables_on_different_grids(self, potential):
+        from repro.potential.eam import TableSet
+        from repro.potential.fe import FeParameters
+        from repro.potential.spline import SplineTable
+
+        params = FeParameters()
+        density = SplineTable.from_function(params.density, params.cutoff, n=700)
+        tables = TableSet(potential.tables.pair, density, potential.tables.embedding)
+        r = self._queries(params.cutoff)
+        phi, dphi, fd, dfd = tables.pair_and_density(r)
+        assert np.array_equal(phi, potential.tables.pair(r))
+        assert np.array_equal(dphi, potential.tables.pair.derivative(r))
+        assert np.array_equal(fd, density(r))
+        assert np.array_equal(dfd, density.derivative(r))
+
+    def test_columns_built_lazily(self):
+        tables = make_fe_tables(n=100)
+        assert "columns" not in vars(tables.pair)
+        tables.pair.value_and_derivative(np.array([1.0]))
+        assert len(tables.pair.columns) == 7
+        assert all(c.flags.c_contiguous for c in tables.pair.columns)
