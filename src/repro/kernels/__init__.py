@@ -149,25 +149,45 @@ def eam_payloads(tables):
     return result
 
 
-def eam_fused(payloads, i, j, axes, r, n):
-    """Compiled two-pass EAM evaluation; returns (phi, rho, emb, forces).
+def eam_pass1(payloads, i, j, r, n):
+    """Compiled EAM pass 1 (density); returns ``(phi, dphi, dfd, rho)``.
 
-    ``axes`` are the x, y and z displacement components of the pairs as
-    three 1-D arrays (``PairTable.axes``).  Inputs are upcast to contiguous int64/float64 — an exact conversion,
+    Inputs are upcast to contiguous int64/float64 — an exact conversion,
     so float32 pair geometry produces the same float64 results the NumPy
     path gets from its mixed-precision expressions.
     """
-    pair_pl, dens_pl, emb_pl = payloads
-    i64 = np.ascontiguousarray(i, dtype=np.int64)
-    j64 = np.ascontiguousarray(j, dtype=np.int64)
-    dx, dy, dz = (np.ascontiguousarray(a, dtype=np.float64) for a in axes)
-    r64 = np.ascontiguousarray(r, dtype=np.float64)
-    phi, dphi, dfd, rho = impl.eam_pass1(
-        *pair_pl, *dens_pl, i64, j64, r64, n
+    pair_pl, dens_pl, _emb_pl = payloads
+    return impl.eam_pass1(
+        *pair_pl,
+        *dens_pl,
+        np.ascontiguousarray(i, dtype=np.int64),
+        np.ascontiguousarray(j, dtype=np.int64),
+        np.ascontiguousarray(r, dtype=np.float64),
+        n,
     )
-    emb, demb = impl.table_vd(*emb_pl, rho)
-    forces = impl.eam_pass2(i64, j64, dx, dy, dz, r64, dphi, dfd, demb, n)
-    return phi, rho, emb, forces
+
+
+def eam_pass2(payloads, i, j, axes, r, dphi, dfd, rho):
+    """Compiled EAM pass 2 (forces); returns ``(emb, forces)``.
+
+    ``axes`` are the x, y and z displacement components of the pairs as
+    three 1-D arrays (``PairTable.axes``), upcast like :func:`eam_pass1`.
+    """
+    emb, demb = impl.table_vd(*payloads[2], rho)
+    dx, dy, dz = (np.ascontiguousarray(a, dtype=np.float64) for a in axes)
+    forces = impl.eam_pass2(
+        np.ascontiguousarray(i, dtype=np.int64),
+        np.ascontiguousarray(j, dtype=np.int64),
+        dx,
+        dy,
+        dz,
+        np.ascontiguousarray(r, dtype=np.float64),
+        dphi,
+        dfd,
+        demb,
+        len(rho),
+    )
+    return emb, forces
 
 
 def rate_batch(

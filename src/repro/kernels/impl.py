@@ -170,7 +170,7 @@ def eam_pass1(
 ):
     """Pass 1 of the two-pass EAM evaluation over a half pair list.
 
-    Twin of the first block of :func:`repro.md.forces.eam_evaluate`:
+    Twin of :func:`repro.md.forces.eam_density`:
     pair/density table lookups per pair, then the density scatter as two
     bincount-order accumulations combined elementwise.  Returns
     ``(phi, dphi, dfd, rho)``; ``fd`` is consumed internally.
@@ -201,7 +201,8 @@ def eam_pass1(
 def eam_pass2(i, j, dx, dy, dz, r, dphi, dfd, demb, n):
     """Pass 2: force coefficients and the per-axis bincount scatter.
 
-    ``forces[:, k] = bincount(i, c*d_k) - bincount(j, c*d_k)`` over the
+    Twin of :func:`repro.md.forces.eam_forces` after its embedding
+    lookup: ``forces[:, k] = bincount(i, c*d_k) - bincount(j, c*d_k)`` over the
     displacement components ``dx``, ``dy``, ``dz`` becomes two
     accumulator matrices subtracted elementwise at the end.
     """

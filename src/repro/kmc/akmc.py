@@ -453,7 +453,8 @@ class ParallelAKMC:
     lattice, potential, params:
         The physical system.
     grid / nranks:
-        Process decomposition (see :class:`~repro.md.engine.ParallelMD`).
+        Process decomposition (see
+        :class:`~repro.md.parallel_damage.ParallelDamageMD`).
     scheme:
         One of ``"traditional"``, ``"ondemand"``, ``"onesided"``.
     seed:

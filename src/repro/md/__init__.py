@@ -14,6 +14,12 @@ memory/compute comparison is reproducible:
   LAMMPS-style baseline.
 * :class:`~repro.md.neighbors.linked_cell.LinkedCellList` — the IMD-style
   baseline.
+
+Two drivers run one EAM kernel (:mod:`repro.md.forces`):
+:class:`~repro.md.engine.MDEngine` in one process, and
+:class:`~repro.md.parallel_damage.ParallelDamageMD` domain-decomposed
+over the in-process runtime, which reproduces the serial engine bit for
+bit.
 """
 
 from repro.md.state import AtomState, VACANCY_ID
@@ -30,7 +36,7 @@ from repro.md.thermostat import (
     instantaneous_temperature,
 )
 from repro.md.cascade import CascadeConfig, run_cascade, insert_pka
-from repro.md.engine import MDEngine, MDConfig, ParallelMD
+from repro.md.engine import MDEngine, MDConfig
 from repro.md.parallel_damage import ParallelDamageMD, ParallelDamageResult
 
 __all__ = [
@@ -43,7 +49,6 @@ __all__ = [
     "PairTable",
     "ParallelDamageMD",
     "ParallelDamageResult",
-    "ParallelMD",
     "VACANCY_ID",
     "VelocityVerlet",
     "VerletNeighborList",

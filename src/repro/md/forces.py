@@ -1,9 +1,12 @@
 """Vectorized EAM energy/force kernels.
 
 The core computation of both MD and KMC (paper §2): a two-pass EAM
-evaluation — density accumulation, embedding derivative, then pair +
-embedding forces — over a half pair list produced by any of the neighbor
-structures.  All hot loops are NumPy gather/scatter operations; the
+evaluation over a half pair list produced by any of the neighbor
+structures.  :func:`eam_density` accumulates densities (pass 1);
+:func:`eam_forces` takes the embedding derivative and scatters pair +
+embedding forces (pass 2).  Serial MD runs them back to back
+(:func:`eam_evaluate`); decomposed MD exchanges ghost densities between
+them (§2.1.1).  All hot loops are NumPy gather/scatter operations; the
 scatters run through ``np.bincount(..., minlength=n)`` rather than
 ``np.add.at``, whose unbuffered ufunc path is the known slow scatter in
 NumPy (an order of magnitude on large pair lists).
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.md.neighbors.lattice_list import LatticeNeighborList
+from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
 from repro.md.state import AtomState
 from repro.potential.eam import EAMPotential
 
@@ -94,6 +97,99 @@ class EAMResult:
     embed_energy: float
 
 
+@dataclass
+class DensityPass:
+    """Pass-1 output: per-pair table values and per-particle densities.
+
+    ``rho`` may be reconciled in place (a decomposed run overwrites its
+    ghost entries with the owners' values) before pass 2 reads it.
+    """
+
+    phi: np.ndarray
+    dphi: np.ndarray
+    dfd: np.ndarray
+    rho: np.ndarray
+
+
+def _compiled_payloads(pot: EAMPotential):
+    """Table payloads when the compiled kernels are selected, else None."""
+    if kernels.selected() == "numba":
+        return kernels.eam_payloads(pot.tables)
+    return None
+
+
+def eam_density(pot: EAMPotential, n: int, pairs: PairTable) -> DensityPass:
+    """Pass 1: pair energy and density accumulation over ``n`` particles.
+
+    Both tables are read at one located segment per pair.  bincount
+    scatters: one contiguous accumulation per endpoint array instead of
+    the element-wise np.add.at loop.
+    """
+    if len(pairs) == 0:
+        empty = np.empty(0)
+        return DensityPass(empty, empty, empty, np.zeros(n))
+    payloads = _compiled_payloads(pot)
+    if payloads is not None:
+        # Compiled path: bit-identical to the NumPy expressions below by
+        # construction (same accumulation order).
+        return DensityPass(*kernels.eam_pass1(payloads, pairs.i, pairs.j, pairs.r, n))
+    phi, dphi, fd, dfd = pot.tables.pair_and_density(pairs.r)
+    rho = np.bincount(pairs.i, weights=fd, minlength=n) + np.bincount(
+        pairs.j, weights=fd, minlength=n
+    )
+    return DensityPass(phi, dphi, dfd, rho)
+
+
+def eam_forces(
+    pot: EAMPotential,
+    pairs: PairTable,
+    density: DensityPass,
+    active: np.ndarray | None = None,
+) -> EAMResult:
+    """Pass 2: the embedding derivative closes the force expression.
+
+    ``(dphi + (F'_i + F'_j) * df) / r`` is evaluated in place and
+    scattered per axis.  ``density.rho`` must hold converged densities
+    for every particle a pair touches.  ``active`` masks the particles
+    whose embedding energy is summed (``None`` means all); the energy
+    reductions stay NumPy-side on both kernel paths.
+    """
+    rho = density.rho
+    n = len(rho)
+    if active is None:
+        active = np.ones(n, dtype=bool)
+    if len(pairs) == 0:
+        return EAMResult(0.0, np.zeros((n, 3)), rho, 0.0, 0.0)
+    payloads = _compiled_payloads(pot)
+    if payloads is not None:
+        emb, forces = kernels.eam_pass2(
+            payloads, pairs.i, pairs.j, pairs.axes, pairs.r,
+            density.dphi, density.dfd, rho,
+        )
+    else:
+        emb, demb = pot.tables.embedding.value_and_derivative(rho)
+        coeff = demb[pairs.i]
+        coeff += demb[pairs.j]
+        coeff *= density.dfd
+        coeff += density.dphi
+        coeff /= pairs.r
+        forces = np.empty((n, 3))
+        for k, dk in enumerate(pairs.axes):
+            fk = coeff * dk
+            forces[:, k] = np.bincount(
+                pairs.i, weights=fk, minlength=n
+            ) - np.bincount(pairs.j, weights=fk, minlength=n)
+    pair_energy = float(np.sum(density.phi))
+    embed_energy = float(np.sum(emb[active]))
+    return EAMResult(
+        energy=pair_energy + embed_energy,
+        forces=forces,
+        rho=rho,
+        pair_energy=pair_energy,
+        embed_energy=embed_energy,
+    )
+
+
 def eam_evaluate(
     pot: EAMPotential,
     n: int,
@@ -101,6 +197,9 @@ def eam_evaluate(
     active: np.ndarray | None = None,
 ) -> EAMResult:
     """Two-pass EAM evaluation over ``n`` particles and a half pair list.
+
+    :func:`eam_density` then :func:`eam_forces`, with nothing in between
+    (a decomposed run exchanges densities there).
 
     Parameters
     ----------
@@ -114,70 +213,17 @@ def eam_evaluate(
         Boolean mask of particles that exist (embedding energy is summed
         over these).  ``None`` means all.
     """
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    if len(pairs) == 0:
-        return EAMResult(0.0, np.zeros((n, 3)), np.zeros(n), 0.0, 0.0)
-    if kernels.selected() == "numba":
-        payloads = kernels.eam_payloads(pot.tables)
-        if payloads is not None:
-            # Compiled path: bit-identical to the NumPy expressions below
-            # by construction (same accumulation order, same pairwise
-            # sums); the energy reductions stay NumPy-side in both paths.
-            phi, rho, emb, forces = kernels.eam_fused(
-                payloads, pairs.i, pairs.j, pairs.axes, pairs.r, n
-            )
-            pair_energy = float(np.sum(phi))
-            embed_energy = float(np.sum(emb[active]))
-            return EAMResult(
-                energy=pair_energy + embed_energy,
-                forces=forces,
-                rho=rho,
-                pair_energy=pair_energy,
-                embed_energy=embed_energy,
-            )
-    # Pass 1: pair energy and density accumulation, both tables read at
-    # one located segment per pair.  bincount scatters: one contiguous
-    # accumulation per endpoint array instead of the element-wise
-    # np.add.at loop.
-    phi, dphi, fd, dfd = pot.tables.pair_and_density(pairs.r)
-    rho = np.bincount(pairs.i, weights=fd, minlength=n) + np.bincount(
-        pairs.j, weights=fd, minlength=n
-    )
-    # Pass 2: embedding derivative closes the force expression,
-    # (dphi + (F'_i + F'_j) * df) / r evaluated in place.
-    emb, demb = pot.tables.embedding.value_and_derivative(rho)
-    coeff = demb[pairs.i]
-    coeff += demb[pairs.j]
-    coeff *= dfd
-    coeff += dphi
-    coeff /= pairs.r
-    forces = np.empty((n, 3))
-    for k, dk in enumerate(pairs.axes):
-        fk = coeff * dk
-        forces[:, k] = np.bincount(pairs.i, weights=fk, minlength=n) - np.bincount(
-            pairs.j, weights=fk, minlength=n
-        )
-    pair_energy = float(np.sum(phi))
-    embed_energy = float(np.sum(emb[active]))
-    return EAMResult(
-        energy=pair_energy + embed_energy,
-        forces=forces,
-        rho=rho,
-        pair_energy=pair_energy,
-        embed_energy=embed_energy,
-    )
+    return eam_forces(pot, pairs, eam_density(pot, n, pairs), active)
 
 
 def gather_particles(
-    state: AtomState, nblist: LatticeNeighborList
-) -> tuple[np.ndarray, np.ndarray, list]:
+    state: AtomState, runs: list[RunawayAtom]
+) -> tuple[np.ndarray, np.ndarray]:
     """Flat particle array: occupied/vacancy rows first, run-aways appended.
 
-    Returns ``(x_flat, active_mask, runaway_atoms)``; run-away atom ``k``
-    is flat particle ``state.n + k``.
+    Returns ``(x_flat, active_mask)``; run-away atom ``runs[k]`` is flat
+    particle ``state.n + k``.
     """
-    runs = nblist.runaways
     if runs:
         x = np.vstack([state.x, np.array([a.x for a in runs])])
     else:
@@ -185,31 +231,40 @@ def gather_particles(
     active = np.concatenate(
         [state.occupied, np.ones(len(runs), dtype=bool)]
     )
-    return x, active, runs
+    return x, active
 
 
 def build_pair_table(
-    state: AtomState, nblist: LatticeNeighborList, pot: EAMPotential
+    state: AtomState,
+    nblist: LatticeNeighborList,
+    pot: EAMPotential,
+    runs: list[RunawayAtom] | None = None,
 ) -> tuple[PairTable, np.ndarray, np.ndarray, list]:
     """All interacting half pairs of a state under the lattice list.
 
     Combines (1) on-lattice pairs from static index arithmetic, (2)
     run-away/lattice pairs from each run-away's host neighborhood, and
-    (3) run-away/run-away pairs from adjacent linked lists.
+    (3) run-away/run-away pairs from adjacent linked lists.  ``runs``
+    defaults to the list's own run-aways; a decomposed run passes its
+    owned run-aways plus ghost copies, in host order.  Pairs come in the
+    serial order, so every particle whose partners are all present
+    accumulates the same sums, bit for bit, as in a serial run.
     """
-    x, active, runs = gather_particles(state, nblist)
+    if runs is None:
+        runs = nblist.runaways
+    x, active = gather_particles(state, runs)
     li, lj = nblist.lattice_pairs(state)
     pi = [li]
     pj = [lj]
     if runs:
         run_index = {id(a): state.n + k for k, a in enumerate(runs)}
         occ = state.occupied
-        for atom, rows in nblist.runaway_candidates():
+        for atom, rows in nblist.runaway_candidates(runs):
             rows = rows[occ[rows]]
             if len(rows):
                 pi.append(np.full(len(rows), run_index[id(atom)], dtype=np.int64))
                 pj.append(rows.astype(np.int64))
-        rr = nblist.runaway_pairs()
+        rr = nblist.runaway_pairs(runs)
         if rr:
             pi.append(np.asarray([run_index[id(a)] for a, _b in rr], dtype=np.int64))
             pj.append(np.asarray([run_index[id(b)] for _a, b in rr], dtype=np.int64))
@@ -217,6 +272,21 @@ def build_pair_table(
     j = np.concatenate(pj)
     table = PairTable.from_pairs(x, i, j, nblist.box, pot.cutoff)
     return table, x, active, runs
+
+
+def store_result(state: AtomState, runs: list[RunawayAtom], result: EAMResult) -> float:
+    """Write forces and rho back to ``state`` and ``runs``; returns the energy.
+
+    Vacancy rows get zero force and density.
+    """
+    state.f[:] = result.forces[: state.n]
+    state.f[~state.occupied] = 0.0
+    state.rho[:] = result.rho[: state.n]
+    state.rho[~state.occupied] = 0.0
+    for k, atom in enumerate(runs):
+        atom.f = result.forces[state.n + k].copy()
+        atom.rho = float(result.rho[state.n + k])
+    return result.energy
 
 
 def compute_energy_forces(
@@ -228,96 +298,7 @@ def compute_energy_forces(
     the total potential energy (eV).
     """
     table, x, active, runs = build_pair_table(state, nblist, pot)
-    result = eam_evaluate(pot, len(x), table, active)
-    state.f[:] = result.forces[: state.n]
-    state.f[~state.occupied] = 0.0
-    state.rho[:] = result.rho[: state.n]
-    state.rho[~state.occupied] = 0.0
-    for k, atom in enumerate(runs):
-        atom.f = result.forces[state.n + k].copy()
-        atom.rho = float(result.rho[state.n + k])
-    return result.energy
-
-
-def star_geometry(
-    x: np.ndarray,
-    occupied: np.ndarray,
-    centrals: np.ndarray,
-    matrix: np.ndarray,
-    valid: np.ndarray,
-    box,
-    cutoff: float,
-):
-    """Distances from each central row to its static neighbors.
-
-    Returns ``(d, r, mask)`` with shapes ``(C, m, 3)``, ``(C, m)``,
-    ``(C, m)``: the displacement vectors, distances, and the mask of
-    genuine interactions (valid slot, both occupied, within cutoff).
-    Used by the parallel engine, where each owned central accumulates its
-    full interaction star (ghost neighbors included).
-    """
-    xc = x[centrals]
-    xn = x[matrix]
-    d = xn - xc[:, None, :]
-    if box is not None:
-        d = box.minimum_image(d)
-    r = np.linalg.norm(d, axis=2)
-    mask = (
-        valid
-        & occupied[matrix]
-        & occupied[centrals][:, None]
-        & (r > 1e-12)
-        & (r <= cutoff)
-    )
-    return d, r, mask
-
-
-def star_density(
-    pot: EAMPotential,
-    x: np.ndarray,
-    occupied: np.ndarray,
-    centrals: np.ndarray,
-    matrix: np.ndarray,
-    valid: np.ndarray,
-    box,
-) -> tuple[np.ndarray, float]:
-    """Density pass of the parallel kernel.
-
-    Returns ``(rho_centrals, local_pair_energy)``; the pair energy carries
-    the EAM 1/2 factor, so summing it over ranks gives the global pair
-    term exactly (every bond is seen from both ends).
-    """
-    _d, r, mask = star_geometry(x, occupied, centrals, matrix, valid, box, pot.cutoff)
-    rsafe = np.where(mask, r, pot.cutoff)
-    rho_c = np.sum(pot.tables.density(rsafe) * mask, axis=1)
-    pair_e = 0.5 * float(np.sum(pot.tables.pair(rsafe) * mask))
-    return rho_c, pair_e
-
-
-def star_forces(
-    pot: EAMPotential,
-    x: np.ndarray,
-    occupied: np.ndarray,
-    rho: np.ndarray,
-    centrals: np.ndarray,
-    matrix: np.ndarray,
-    valid: np.ndarray,
-    box,
-) -> np.ndarray:
-    """Force pass of the parallel kernel; forces on the central rows only.
-
-    ``rho`` must hold *converged* densities for every row the matrix can
-    touch — ghosts included, which is why the engine exchanges densities
-    between the two passes.
-    """
-    d, r, mask = star_geometry(x, occupied, centrals, matrix, valid, box, pot.cutoff)
-    rsafe = np.where(mask, r, pot.cutoff)
-    dphi = pot.tables.pair.derivative(rsafe)
-    dfd = pot.tables.density.derivative(rsafe)
-    demb = pot.tables.embedding.derivative(rho)
-    coeff = (dphi + (demb[centrals][:, None] + demb[matrix]) * dfd) / rsafe
-    coeff = np.where(mask, coeff, 0.0)
-    return np.einsum("cm,cmk->ck", coeff, d)
+    return store_result(state, runs, eam_evaluate(pot, len(x), table, active))
 
 
 def compute_energy_forces_pairs(

@@ -186,6 +186,16 @@ class LatticeNeighborList:
         self.valid = valid
         # Padding entries point at row 0; the valid mask excludes them.
         self.matrix[~self.valid] = 0
+        # reverse[basis, m]: index of offset m's reverse in the table of
+        # the neighbor it reaches, i.e. offset m as seen from the other end.
+        tables = [offsets.for_basis(basis).tolist() for basis in (0, 1)]
+        index = [{tuple(row): col for col, row in enumerate(t)} for t in tables]
+        self._reverse = np.zeros((2, m), dtype=np.int64)
+        for basis, table in enumerate(tables):
+            for col, (flip, di, dj, dk) in enumerate(table):
+                other = basis if flip == 0 else 1 - basis
+                self._reverse[basis, col] = index[other][(flip, -di, -dj, -dk)]
+        self._central_basis = b
 
     @property
     def max_neighbors(self) -> int:
@@ -198,19 +208,18 @@ class LatticeNeighborList:
     def lattice_pairs(self, state: AtomState) -> tuple[np.ndarray, np.ndarray]:
         """Half pair list (i, j) of interacting on-lattice atoms.
 
-        Row indices into ``state``; each unordered pair appears once, in
-        (central, offset) order.  Requires every site to be a central
-        (serial use): a subset list would silently miss pairs.
+        Row indices into ``state``; each unordered pair appears once as
+        (lower row, upper row), in the canonical order keyed by (lower
+        row, offset index as seen from the lower row).  A subset list
+        (owned + ghost sites) returns every pair with at least one
+        central endpoint.  Rows are sorted by global rank, so each
+        central sees the same pairs in the same order as in the full
+        list.
 
         The pairs depend only on occupancy, which changes far less often
         than positions, so the last result is memoized and reused until
         the occupancy differs.  The returned arrays are read-only.
         """
-        if len(self.centrals) != len(self.sites):
-            raise ValueError(
-                "lattice_pairs needs every site as a central; this list "
-                f"has {len(self.centrals)} centrals over {len(self.sites)} sites"
-            )
         occ = state.occupied
         memo = self._pair_memo
         if memo is None or not np.array_equal(memo[0], occ):
@@ -224,9 +233,21 @@ class LatticeNeighborList:
         """Uncached half pair enumeration behind :meth:`lattice_pairs`."""
         c = self.centrals[:, None]
         nbr = self.matrix
-        mask = self.valid & (nbr > c) & occ[nbr] & occ[self.centrals][:, None]
-        ci, mi = np.nonzero(mask)
-        return self.centrals[ci], nbr[ci, mi]
+        live = self.valid & occ[nbr] & occ[self.centrals][:, None]
+        ci, mi = np.nonzero(live & (nbr > c))
+        lo, hi = self.centrals[ci], nbr[ci, mi]
+        if len(self.centrals) == len(self.sites):
+            return lo, hi
+        # A pair whose lower end is not a central is only seen from its
+        # upper end; key it by the reverse offset, as seen from below.
+        central = np.zeros(len(self.sites), dtype=bool)
+        central[self.centrals] = True
+        gi, gm = np.nonzero(live & (nbr < c) & ~central[nbr])
+        lo = np.concatenate([lo, nbr[gi, gm]])
+        hi = np.concatenate([hi, self.centrals[gi]])
+        key = np.concatenate([mi, self._reverse[self._central_basis[gi], gm]])
+        order = np.lexsort((key, lo))
+        return lo[order], hi[order]
 
     def neighbor_rows(self, row: int) -> np.ndarray:
         """Row indices of the static neighbors of central row ``row``."""
@@ -369,32 +390,42 @@ class LatticeNeighborList:
         self._stencils[host_row] = stencil
         return stencil
 
-    def runaway_candidates(self) -> list[tuple[RunawayAtom, np.ndarray]]:
+    def runaway_candidates(
+        self, runs: list[RunawayAtom] | None = None
+    ) -> list[tuple[RunawayAtom, np.ndarray]]:
         """(atom, candidate rows) per run-away atom.
 
-        Candidate partners are distance-filtered against the true cutoff
-        by the force kernel; this list only needs to be a superset.
+        ``runs`` defaults to this list's run-aways.  Candidate partners
+        are distance-filtered against the true cutoff by the force
+        kernel; this list only needs to be a superset.
         """
-        return [
-            (atom, self._runaway_stencil(atom.host)) for atom in self.runaways
-        ]
+        if runs is None:
+            runs = self.runaways
+        return [(atom, self._runaway_stencil(atom.host)) for atom in runs]
 
-    def runaway_pairs(self) -> list[tuple[RunawayAtom, RunawayAtom]]:
+    def runaway_pairs(
+        self, runs: list[RunawayAtom] | None = None
+    ) -> list[tuple[RunawayAtom, RunawayAtom]]:
         """Unordered run-away/run-away pairs from neighboring linked lists.
 
+        ``runs`` (default: this list's run-aways) must be in host order.
         O(N) in the run-away count: each atom only scans the linked lists
         hanging off its host's static stencil.
         """
-        runs = self.runaways
+        if runs is None:
+            runs = self.runaways
+        by_host: dict[int, list[RunawayAtom]] = {}
+        for atom in runs:
+            by_host.setdefault(atom.host, []).append(atom)
         order = {id(a): idx for idx, a in enumerate(runs)}
-        hosts = np.array(sorted(self.hosts), dtype=np.int64)
+        hosts = np.array(sorted(by_host), dtype=np.int64)
         pairs = []
         for atom in runs:
             # Stencils are sorted, so the hosts found come in stencil order.
             stencil = self._runaway_stencil(atom.host)
             found = stencil.take(np.searchsorted(stencil, hosts), mode="clip")
             for host in hosts[found == hosts].tolist():
-                for other in self.hosts[host]:
+                for other in by_host[host]:
                     if order[id(other)] > order[id(atom)]:
                         pairs.append((atom, other))
         return pairs

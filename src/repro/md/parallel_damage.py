@@ -1,8 +1,7 @@
-"""Parallel MD with run-away atoms: the full §2.1.1 exchange protocol.
+"""Domain-decomposed MD with run-away atoms: the full §2.1.1 protocol.
 
-:class:`~repro.md.engine.ParallelMD` executes the paper's parallel
-structure on perfect lattices; this module adds the damage machinery so
-cascades run distributed:
+:class:`ParallelDamageMD` runs cascades distributed over the in-process
+runtime, with the serial engine's EAM kernel and integrator:
 
 * vacancies propagate through the static ghost exchange ("the lattice
   points (either an atom or a vacancy) in the ghost region is packed
@@ -14,20 +13,25 @@ cascades run distributed:
 
 Per step the protocol is:
 
-1. half-kick + drift owned atoms and owned run-aways;
+1. half-kick + drift of owned atoms and owned run-aways
+   (:class:`~repro.md.integrator.VelocityVerlet`);
 2. every ``runaway_check_interval`` steps: escape/capture/relink
    bookkeeping, then *migration* — a run-away whose nearest lattice point
    is owned elsewhere is packed and shipped to its new owner;
 3. static ghost exchange of positions + occupancy (IDs);
 4. run-away ghost broadcast: copies of owned run-aways hosted in a
    neighbor's interest region travel with their positions;
-5. density pass (lattice stars + run-away contributions), then the
-   second exchange phase ships densities — for lattice sites through the
-   static pattern, for run-aways with refreshed ghost copies;
-6. force pass, second half-kick.
+5. density pass (:func:`~repro.md.forces.eam_density`) over the local
+   half pairs, then the second exchange phase ships densities — for
+   lattice sites through the static pattern, for run-aways with
+   refreshed ghost copies;
+6. force pass (:func:`~repro.md.forces.eam_forces`), second half-kick.
 
-The result is bit-compatible with the serial engine (asserted by tests):
-same trajectories, same vacancy inventory, same run-away population.
+Every half pair with an owned endpoint is evaluated in the serial pair
+order (:meth:`~repro.md.neighbors.lattice_list.LatticeNeighborList.lattice_pairs`),
+so owned densities and forces are the serial sums term for term and the
+result equals the serial engine bit for bit (asserted by tests): same
+trajectories, same vacancy inventory, same run-away population.
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import FM2A
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
 from repro.lattice.domain import DIRECTIONS, DomainDecomposition, choose_grid
-from repro.md.engine import MDConfig
-from repro.md.forces import star_density, star_forces
+from repro.md.engine import MDConfig, validate_run, wrap_positions
+from repro.md.forces import build_pair_table, eam_density, eam_forces, store_result
 from repro.md.ghost import GhostExchanger
+from repro.md.integrator import VelocityVerlet
 from repro.md.neighbors.lattice_list import LatticeNeighborList, RunawayAtom
 from repro.md.state import AtomState
 from repro.md.thermostat import maxwell_boltzmann_velocities
@@ -83,8 +87,17 @@ def _pack_runaways(atoms: list[RunawayAtom], sites: np.ndarray):
 class ParallelDamageMD:
     """Domain-decomposed MD with vacancies and run-away atoms.
 
-    Parameters mirror :class:`~repro.md.engine.ParallelMD`, plus the
-    damage knobs of the serial engine.
+    Parameters
+    ----------
+    lattice, potential, config:
+        As for :class:`~repro.md.engine.MDEngine`.
+    grid:
+        Process grid; ``None`` lets :func:`choose_grid` pick one for
+        ``nranks``.
+    nranks:
+        World size when ``grid`` is None.
+    network, backend, workers:
+        Passed to the :class:`~repro.runtime.simmpi.World`.
     """
 
     def __init__(
@@ -136,16 +149,23 @@ class ParallelDamageMD:
         ``pka`` optionally injects a primary knock-on atom: a (global
         site rank, velocity vector) pair applied after thermalization.
         """
-        if nsteps < 1:
-            raise ValueError(f"nsteps must be >= 1, got {nsteps}")
+        validate_run(nsteps, dt, displacement_threshold, runaway_check_interval)
+        if pka is not None:
+            site, velocity = int(pka[0]), np.asarray(pka[1], dtype=float)
+            if not 0 <= site < self.lattice.nsites:
+                raise ValueError(
+                    f"pka site must be in [0, {self.lattice.nsites}), got {site}"
+                )
+            if velocity.shape != (3,) or not np.all(np.isfinite(velocity)):
+                raise ValueError(
+                    f"pka velocity must be a finite 3-vector, got {velocity}"
+                )
         dt = dt if dt is not None else self.config.dt
         v_global = self._initial_velocities()
         if pka is not None:
-            v_global = v_global.copy()
-            v_global[int(pka[0])] = np.asarray(pka[1], dtype=float)
+            v_global[site] = velocity
         lattice = self.lattice
         pot = self.potential
-        box = self.box
         decomp = self.decomp
         # One extra ghost cell beyond the MD cutoff: a run-away atom sits
         # up to half a first-shell from its host, so its interaction
@@ -181,8 +201,7 @@ class ParallelDamageMD:
                         nsub.all_ghost_site_ranks(lattice, width),
                     ).tolist()
                 )
-            fm = FM2A / state.mass
-            forces = np.zeros((len(sites), 3))
+            integ = VelocityVerlet(dt)
             ids_f = np.empty(len(sites), dtype=float)
 
             def owned_runaways() -> list[RunawayAtom]:
@@ -282,91 +301,37 @@ class ParallelDamageMD:
                     if atom.id in rho_by_id:
                         atom.rho = rho_by_id[atom.id]
 
-            def runaway_star(
-                atom: RunawayAtom, occ: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                """(rows, d, r) of the atom's occupied lattice partners."""
-                rows = nbl._runaway_stencil(atom.host)
-                rows = rows[occ[rows]]
-                d = box.minimum_image(state.x[rows] - atom.x)
-                r = np.linalg.norm(d, axis=1)
-                keep = (r > 1e-12) & (r <= pot.cutoff)
-                return rows[keep], d[keep], r[keep]
+            def compute_forces(ghost_runs: list[RunawayAtom]) -> None:
+                """Density pass, density exchange (§2.1.1), force pass.
 
-            def compute_step(
-                own_list: list[RunawayAtom], ghost_list: list[RunawayAtom]
-            ) -> None:
-                """Two-pass EAM with run-away participation."""
-                all_runs = own_list + ghost_list
-                occ = state.occupied
-                # --- density pass -------------------------------------
-                rho_c, _pair_e = star_density(
-                    pot, state.x, occ, central_rows, nbl.matrix, nbl.valid, box
-                )
-                state.rho[:] = 0.0
-                state.rho[central_rows] = rho_c
-                run_partners = []
-                for atom in all_runs:
-                    rows, d, r = runaway_star(atom, occ)
-                    fd = pot.fdens(r)
-                    state.rho[rows] += fd
-                    atom.rho = float(np.sum(fd))
-                    run_partners.append((rows, d, r))
-                # run-away / run-away density contributions
-                rr_pairs = _runaway_runaway_pairs(all_runs, box, pot.cutoff)
-                for a, b, _d, r in rr_pairs:
-                    fd = float(pot.fdens(r))
-                    a.rho += fd
-                    b.rho += fd
-                # --- density reconciliation ---------------------------
+                Owned densities are complete after pass 1; ghost rows and
+                ghost run-aways take their owners' values before pass 2.
+                """
+                # Host order is the serial run-away order.
+                runs = sorted(owned_runaways() + ghost_runs, key=lambda a: a.host)
+                table, x, active, runs = build_pair_table(state, nbl, pot, runs)
+                density = eam_density(pot, len(x), table)
+                n = state.n
+                state.rho[:] = density.rho[:n]
                 ex.exchange(comm, TAG_RHO, [state.rho])
-                exchange_runaway_rho(ghost_list)
-                # --- force pass ----------------------------------------
-                forces[:] = 0.0
-                forces[central_rows] = star_forces(
-                    pot,
-                    state.x,
-                    occ,
-                    state.rho,
-                    central_rows,
-                    nbl.matrix,
-                    nbl.valid,
-                    box,
-                )
-                demb_sites = pot.dembed(state.rho)
-                for atom, (rows, d, r) in zip(all_runs, run_partners, strict=True):
-                    demb_a = float(pot.dembed(atom.rho))
-                    coeff = (
-                        pot.dphi(r) + (demb_a + demb_sites[rows]) * pot.dfdens(r)
-                    ) / r
-                    # force on the run-away along +d (d = site - atom)...
-                    atom.f = np.einsum("m,mk->k", coeff, d)
-                    # ...and the reaction on the lattice sites.
-                    np.add.at(forces, rows, -coeff[:, None] * d)
-                for a, b, d, r in rr_pairs:
-                    demb_a = float(pot.dembed(a.rho))
-                    demb_b = float(pot.dembed(b.rho))
-                    coeff = float(
-                        (pot.dphi(r) + (demb_a + demb_b) * pot.dfdens(r)) / r
-                    )
-                    a.f = a.f + coeff * d
-                    b.f = b.f - coeff * d
+                density.rho[:n] = state.rho
+                for k, atom in enumerate(runs):
+                    atom.rho = float(density.rho[n + k])
+                exchange_runaway_rho(ghost_runs)
+                for k, atom in enumerate(runs):
+                    density.rho[n + k] = atom.rho
+                store_result(state, runs, eam_forces(pot, table, density, active))
 
             # ----------------------------------------------------------
             # main loop
             # ----------------------------------------------------------
             exchange_ids_and_x()
-            compute_step(owned_runaways(), broadcast_ghost_runaways())
+            compute_forces(broadcast_ghost_runaways())
             for step in range(nsteps):
-                own = owned_runaways()
-                state.v[central_rows] += 0.5 * dt * fm * forces[central_rows]
-                vac = ~state.occupied
-                state.v[central_rows[vac[central_rows]]] = 0.0
-                state.x[central_rows] += dt * state.v[central_rows]
-                state.x[central_rows] = box.wrap(state.x[central_rows])
-                for atom in own:
-                    atom.v = atom.v + 0.5 * dt * fm * atom.f
-                    atom.x = box.wrap(atom.x + dt * atom.v)
+                # Ghost rows move too, but the position exchange below
+                # overwrites them before anything reads them.
+                integ.first_half(state, nbl)
+                wrap_positions(state, nbl)
                 if step % runaway_check_interval == 0:
                     # Escape + relink over owned rows (ghosts parked),
                     # then ownership migration, then the capture pass —
@@ -378,11 +343,8 @@ class ParallelDamageMD:
                     migrate_runaways()
                     _capture_pass(state, nbl, displacement_threshold)
                 exchange_ids_and_x()
-                compute_step(owned_runaways(), broadcast_ghost_runaways())
-                own = owned_runaways()
-                state.v[central_rows] += 0.5 * dt * fm * forces[central_rows]
-                for atom in own:
-                    atom.v = atom.v + 0.5 * dt * fm * atom.f
+                compute_forces(broadcast_ghost_runaways())
+                integ.second_half(state, nbl)
             runs = owned_runaways()
             return {
                 "owned": owned,
@@ -473,17 +435,3 @@ def _capture_pass(
         if state.ids[atom.host] < 0 and dist <= cap:
             nbl._unlink(atom)
             state.occupy(atom.host, atom.id, atom.x, atom.v)
-
-
-def _runaway_runaway_pairs(
-    runs: list[RunawayAtom], box: Box, cutoff: float
-) -> list[tuple[RunawayAtom, RunawayAtom, np.ndarray, float]]:
-    """All interacting run-away pairs in a (small) population."""
-    out = []
-    for i, a in enumerate(runs):
-        for b in runs[i + 1 :]:
-            d = box.minimum_image(b.x - a.x)
-            r = float(np.linalg.norm(d))
-            if 1e-12 < r <= cutoff:
-                out.append((a, b, d, r))
-    return out

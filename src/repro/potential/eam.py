@@ -120,32 +120,17 @@ class EAMPotential:
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.cutoff, self.tables.pair(r), 0.0)
 
-    def dphi(self, r):
-        """Pair potential derivative; zero beyond the cutoff."""
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= self.cutoff, self.tables.pair.derivative(r), 0.0)
-
     def fdens(self, r):
         """Electron-density contribution at distance(s) ``r``."""
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.cutoff, self.tables.density(r), 0.0)
 
-    def dfdens(self, r):
-        """Density contribution derivative."""
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= self.cutoff, self.tables.density.derivative(r), 0.0)
-
     def embed(self, rho):
         """Embedding energy at density(ies) ``rho``."""
         return self.tables.embedding(rho)
 
-    def dembed(self, rho):
-        """Embedding energy derivative."""
-        return self.tables.embedding.derivative(rho)
-
     # ------------------------------------------------------------------
-    # Cluster-level evaluation (used by KMC rates and as a reference
-    # implementation for the MD force kernels)
+    # Cluster-level evaluation (used by KMC rates)
     # ------------------------------------------------------------------
     def site_energy(self, distances: np.ndarray) -> float:
         """Energy of one atom given distances to all neighbors in cutoff.
@@ -157,39 +142,6 @@ class EAMPotential:
         d = d[d <= self.cutoff]
         rho = float(np.sum(self.fdens(d)))
         return 0.5 * float(np.sum(self.phi(d))) + float(self.embed(rho))
-
-    def total_energy(self, positions: np.ndarray, box=None) -> float:
-        """Reference O(N^2) total energy of a small configuration.
-
-        Intended for tests and tiny systems only; production paths go
-        through the neighbor structures in :mod:`repro.md`.
-        """
-        pos = np.asarray(positions, dtype=float)
-        delta = pos[None, :, :] - pos[:, None, :]
-        if box is not None:
-            delta = box.minimum_image(delta)
-        r = np.linalg.norm(delta, axis=-1)
-        mask = (r > 0) & (r <= self.cutoff)
-        pair = 0.5 * np.sum(self.phi(np.where(mask, r, self.cutoff + 1.0)) * mask)
-        rho = np.sum(self.fdens(np.where(mask, r, self.cutoff + 1.0)) * mask, axis=1)
-        return float(pair + np.sum(self.embed(rho)))
-
-    def pairwise_forces(self, positions: np.ndarray, box=None) -> np.ndarray:
-        """Reference O(N^2) forces of a small configuration (eV/A)."""
-        pos = np.asarray(positions, dtype=float)
-        delta = pos[None, :, :] - pos[:, None, :]  # delta[i, j] = r_j - r_i
-        if box is not None:
-            delta = box.minimum_image(delta)
-        r = np.linalg.norm(delta, axis=-1)
-        mask = (r > 0) & (r <= self.cutoff)
-        rsafe = np.where(mask, r, 1.0)
-        rho = np.sum(self.fdens(rsafe) * mask, axis=1)
-        dF = self.dembed(rho)
-        # Scalar bond force magnitude / r for each pair.
-        coeff = (self.dphi(rsafe) + (dF[:, None] + dF[None, :]) * self.dfdens(rsafe))
-        coeff = np.where(mask, coeff / rsafe, 0.0)
-        # F_i = -sum_j coeff_ij * (r_i - r_j) = +sum_j coeff_ij * delta_ij
-        return np.einsum("ij,ijk->ik", coeff, delta)
 
     def with_layout(self, layout: Layout) -> "EAMPotential":
         """This potential with tables converted to the requested layout."""

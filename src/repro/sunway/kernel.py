@@ -5,9 +5,9 @@ one slab cannot be loaded into the local store at one time either. Thus,
 each slab is further partitioned into blocks, and each slave core
 processes the blocks one by one." (§2.1.2)
 
-The kernel executes the real EAM computation (NumPy over block slices;
-verified force-identical to the MD engine) while a :class:`DMAEngine`
-and cycle counters price every variant:
+The kernel executes the real EAM computation (the MD engines' half-pair
+evaluation, bit-identical to them) while a :class:`DMAEngine` and cycle
+counters price every variant block by block:
 
 ========================  ====================================================
 variant                   cost structure
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observe as obs
-from repro.md.forces import star_density, star_forces
+from repro.md.forces import build_pair_table, eam_evaluate
 from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.state import AtomState
 from repro.potential.eam import EAMPotential
@@ -127,7 +127,7 @@ class KernelReport:
 
 
 class BlockedEAMKernel:
-    """Executes one EAM step block-by-block under a strategy.
+    """Executes one EAM step and prices it block-by-block under a strategy.
 
     Parameters
     ----------
@@ -203,19 +203,15 @@ class BlockedEAMKernel:
     # Execution
     # ------------------------------------------------------------------
     def run_step(
-        self,
-        state: AtomState,
-        nblist: LatticeNeighborList,
-        central_range: tuple[int, int] | None = None,
+        self, state: AtomState, nblist: LatticeNeighborList
     ) -> KernelReport:
-        """One full EAM force step over the given central-row range.
+        """One full EAM force step: executes the real computation and prices it.
 
-        Executes the real computation and prices it.  ``central_range``
-        restricts the step to a row slice (one core group's share when an
-        experiment models several CGs).
+        ``nblist`` is a full-lattice list; the forces and energy are those
+        of :func:`~repro.md.forces.compute_energy_forces`, bit for bit.
         """
         with obs.phase("sunway.kernel"):
-            report = self._run_step(state, nblist, central_range)
+            report = self._run_step(state, nblist)
         if obs.enabled():
             obs.add("sunway.kernel.steps")
             obs.add("sunway.kernel.interactions", report.interactions)
@@ -223,30 +219,17 @@ class BlockedEAMKernel:
         return report
 
     def _run_step(
-        self,
-        state: AtomState,
-        nblist: LatticeNeighborList,
-        central_range: tuple[int, int] | None = None,
+        self, state: AtomState, nblist: LatticeNeighborList
     ) -> KernelReport:
         arch = self.arch
         strat = self.strategy
-        pot = (
-            self.potential
-            if self.potential.tables.layout == strat.table_layout
-            else self.potential.with_layout(strat.table_layout)
-        )
         occ = state.occupied
-        lo, hi = central_range if central_range is not None else (0, state.n)
-        if not 0 <= lo <= hi <= state.n:
-            raise ValueError(f"invalid central range ({lo}, {hi})")
         dma = DMAEngine(arch)
-        forces = np.zeros((state.n, 3))
-        rho = np.zeros(state.n)
         total_interactions = 0
         nblocks_total = 0
 
-        matrix, valid, box = nblist.matrix, nblist.valid, nblist.box
-        slabs = self.pool.partition(hi - lo)
+        matrix, valid = nblist.matrix, nblist.valid
+        slabs = self.pool.partition(state.n)
         # Per-pass per-thread accounting.
         pass_names = ("density", "embedding", "force_pair", "force_density")
         pass_costs = {p: [PassCost() for _ in slabs] for p in pass_names}
@@ -279,7 +262,7 @@ class BlockedEAMKernel:
             cost.blocks.append((compute, transfer))
 
         for tidx, slab in enumerate(slabs):
-            rows_all = np.arange(lo + slab.start, lo + slab.stop)
+            rows_all = np.arange(slab.start, slab.stop)
             blocks = [
                 rows_all[i : i + self.block_sites]
                 for i in range(0, len(rows_all), self.block_sites)
@@ -313,9 +296,6 @@ class BlockedEAMKernel:
                 recent_loads = [*recent_loads, loaded][-2:]
                 trad = strat.table_layout == "traditional"
                 # --- pass 1: density (rho per central) -------------------
-                rho[rows] = star_density(
-                    pot, state.x, occ, rows, matrix[rows], valid[rows], box
-                )[0]
                 account_block(
                     "density",
                     tidx,
@@ -348,25 +328,14 @@ class BlockedEAMKernel:
                         per_neighbor_gets=n_inter if trad else 0,
                     )
 
-        # The force computation itself is correct per row partition; one
-        # vectorized sweep per slab block set was executed for rho above,
-        # and the force sweep needs converged rho for *all* rows first.
-        centrals = np.arange(lo, hi)
-        if central_range is not None:
-            # Rho outside the range is needed for demb of ghost neighbors;
-            # compute it directly (owned by other CGs in the modeled run).
-            others = np.setdiff1d(np.arange(state.n), centrals)
-            if len(others):
-                rho[others] = star_density(
-                    pot, state.x, occ, others, matrix[others], valid[others], box
-                )[0]
-        forces[centrals] = star_forces(
-            pot, state.x, occ, rho, centrals, matrix[centrals], valid[centrals], box
-        )
-        _rho_c, pair_e = star_density(
-            pot, state.x, occ, centrals, matrix[centrals], valid[centrals], box
-        )
-        energy = pair_e + float(np.sum(pot.embed(rho[centrals][occ[centrals]])))
+        # The real computation: the MD engines' half-pair EAM evaluation
+        # on the caller's tables (the blocks above only price the
+        # strategy's layout).
+        pot = self.potential
+        table, x, active, _runs = build_pair_table(state, nblist, pot)
+        result = eam_evaluate(pot, len(x), table, active)
+        forces = result.forces[: state.n].copy()
+        forces[~occ] = 0.0
 
         # Per-pass team times (synchronized threads: slowest slab wins),
         # plus the once-per-pass resident table load of the compacted path.
@@ -388,13 +357,13 @@ class BlockedEAMKernel:
         return KernelReport(
             strategy=strat,
             forces=forces,
-            energy=energy,
+            energy=result.energy,
             total_time=total_time,
             compute_time=compute_time,
             dma_time=dma_time,
             dma=dma.stats,
             interactions=total_interactions,
-            natoms=int(np.count_nonzero(occ[lo:hi])),
+            natoms=int(np.count_nonzero(occ)),
             nblocks=nblocks_total,
             block_sites=self.block_sites,
         )

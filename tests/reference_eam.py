@@ -1,4 +1,4 @@
-"""Reference EAM force path: the oracle the fast serial path must match bit for bit.
+"""Reference EAM force path: the oracle the fast path must match bit for bit.
 
 This is the straightforward formulation :mod:`repro.md.forces` is
 checked against: the lattice half pairs enumerated from the static
@@ -7,6 +7,9 @@ geometry on ``(P, 3)`` vectors (``Box.minimum_image`` and
 ``np.linalg.norm``), and three independent table lookups, each locating
 its queries out of place and gathering whole coefficient rows.  The
 production path moves far less data but must produce the same bits.
+
+It also holds the O(N^2) all-pairs energy and forces of small
+configurations, the physics oracle for both paths.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ def axes_of(d):
 
 def build_pair_table(state, nblist, pot):
     """All interacting half pairs: lattice, run-away/lattice, run-away pairs."""
-    x, active, runs = gather_particles(state, nblist)
+    runs = nblist.runaways
+    x, active = gather_particles(state, runs)
     li, lj = lattice_pairs(nblist, state)
     pi, pj = [li], [lj]
     if runs:
@@ -153,3 +157,51 @@ def compute_energy_forces(pot, state, nblist):
         atom.f = result.forces[state.n + k].copy()
         atom.rho = float(result.rho[state.n + k])
     return result.energy
+
+
+def dphi(pot, r):
+    """Pair potential derivative; zero beyond the cutoff."""
+    r = np.asarray(r, dtype=float)
+    return np.where(r <= pot.cutoff, pot.tables.pair.derivative(r), 0.0)
+
+
+def dfdens(pot, r):
+    """Density contribution derivative; zero beyond the cutoff."""
+    r = np.asarray(r, dtype=float)
+    return np.where(r <= pot.cutoff, pot.tables.density.derivative(r), 0.0)
+
+
+def dembed(pot, rho):
+    """Embedding energy derivative."""
+    return pot.tables.embedding.derivative(rho)
+
+
+def total_energy(pot, positions, box=None):
+    """O(N^2) total energy of a small configuration."""
+    pos = np.asarray(positions, dtype=float)
+    delta = pos[None, :, :] - pos[:, None, :]
+    if box is not None:
+        delta = box.minimum_image(delta)
+    r = np.linalg.norm(delta, axis=-1)
+    mask = (r > 0) & (r <= pot.cutoff)
+    pair = 0.5 * np.sum(pot.phi(np.where(mask, r, pot.cutoff + 1.0)) * mask)
+    rho = np.sum(pot.fdens(np.where(mask, r, pot.cutoff + 1.0)) * mask, axis=1)
+    return float(pair + np.sum(pot.embed(rho)))
+
+
+def pairwise_forces(pot, positions, box=None):
+    """O(N^2) forces of a small configuration (eV/A)."""
+    pos = np.asarray(positions, dtype=float)
+    delta = pos[None, :, :] - pos[:, None, :]  # delta[i, j] = r_j - r_i
+    if box is not None:
+        delta = box.minimum_image(delta)
+    r = np.linalg.norm(delta, axis=-1)
+    mask = (r > 0) & (r <= pot.cutoff)
+    rsafe = np.where(mask, r, 1.0)
+    rho = np.sum(pot.fdens(rsafe) * mask, axis=1)
+    demb = dembed(pot, rho)
+    # Scalar bond force magnitude / r for each pair.
+    coeff = dphi(pot, rsafe) + (demb[:, None] + demb[None, :]) * dfdens(pot, rsafe)
+    coeff = np.where(mask, coeff / rsafe, 0.0)
+    # F_i = -sum_j coeff_ij * (r_i - r_j) = +sum_j coeff_ij * delta_ij
+    return np.einsum("ij,ijk->ik", coeff, delta)

@@ -1,10 +1,12 @@
-"""MD engine tests: serial behaviour and serial/parallel equivalence."""
+"""MD engine tests: serial behaviour and serial/decomposed equivalence
+(cascades with run-aways are covered in test_md_parallel_damage)."""
 
 import numpy as np
 import pytest
 
 from repro.lattice.bcc import BCCLattice
-from repro.md.engine import MDConfig, MDEngine, ParallelMD
+from repro.md.engine import MDConfig, MDEngine
+from repro.md.parallel_damage import ParallelDamageMD
 
 
 class TestConfig:
@@ -86,29 +88,27 @@ class TestSerialEngine:
 
 
 class TestParallelMD:
+    """A thermal run through the decomposed driver is the serial run."""
+
     @pytest.fixture(scope="class")
     def equivalence_pair(self, potential):
-        lattice = BCCLattice(5, 5, 5)
+        # The run-away ghost layer needs subdomains of at least 3 cells.
+        lattice = BCCLattice(8, 8, 8)
         cfg = MDConfig(temperature=600.0, seed=7)
         serial = MDEngine(lattice, potential, cfg)
         serial.initialize()
-        serial.run(nsteps=4)
-        parallel = ParallelMD(lattice, potential, cfg, nranks=4)
-        result = parallel.run(nsteps=4)
+        serial.run(nsteps=4, displacement_threshold=1.2)
+        parallel = ParallelDamageMD(lattice, potential, cfg, nranks=4)
+        result = parallel.run(nsteps=4, displacement_threshold=1.2)
         return serial, result
 
     def test_positions_match_serial(self, equivalence_pair):
         serial, result = equivalence_pair
-        assert np.allclose(result.positions, serial.state.x, atol=1e-12)
+        assert np.array_equal(result.positions, serial.state.x)
 
     def test_velocities_match_serial(self, equivalence_pair):
         serial, result = equivalence_pair
-        assert np.allclose(result.velocities, serial.state.v, atol=1e-12)
-
-    def test_energy_trace_matches_serial(self, equivalence_pair):
-        serial, result = equivalence_pair
-        serial_e = [r.potential_energy for r in serial.trace]
-        assert np.allclose(result.energy_trace, serial_e, rtol=1e-12)
+        assert np.array_equal(result.velocities, serial.state.v)
 
     def test_comm_stats_populated(self, equivalence_pair):
         _serial, result = equivalence_pair
@@ -120,17 +120,13 @@ class TestParallelMD:
         cfg = MDConfig(temperature=600.0, seed=8)
         finals = []
         for nranks in (2, 8):
-            result = ParallelMD(lattice, potential, cfg, nranks=nranks).run(
-                nsteps=2
-            )
+            result = ParallelDamageMD(
+                lattice, potential, cfg, nranks=nranks
+            ).run(nsteps=2)
             finals.append(result.positions)
-        assert np.allclose(finals[0], finals[1], atol=1e-12)
-
-    def test_grid_or_ranks_required(self, lattice5, potential):
-        with pytest.raises(ValueError, match="grid or nranks"):
-            ParallelMD(lattice5, potential)
+        assert np.array_equal(finals[0], finals[1])
 
     def test_nsteps_validated(self, lattice5, potential):
-        pmd = ParallelMD(lattice5, potential, nranks=2)
+        pmd = ParallelDamageMD(lattice5, potential, nranks=2)
         with pytest.raises(ValueError, match="nsteps"):
             pmd.run(nsteps=0)

