@@ -65,6 +65,18 @@ def _fault_plan_arg(value: str) -> str:
     return value
 
 
+def _poll_arg(value: str) -> float:
+    """Validate ``serve --poll`` at parse time, before any worker forks."""
+    from repro.service.scheduler import check_poll
+
+    try:
+        poll = float(value)
+        check_poll(poll)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return poll
+
+
 def _add_observe_flags(parser) -> None:
     """The shared profiling/tracing options of the run commands."""
     parser.add_argument(
@@ -347,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit once the queue is fully processed (default: keep "
              "watching for new submissions)",
     )
-    serve.add_argument("--poll", type=float, default=0.05, metavar="SECONDS",
+    serve.add_argument("--poll", type=_poll_arg, default=0.05, metavar="SECONDS",
                        help="scheduler poll interval (default: 0.05)")
     serve.set_defaults(_parser=serve)
 

@@ -19,11 +19,12 @@ from repro.service.cache import MANIFEST_NAME, ResultCache
 from repro.service.queue import (
     DONE,
     FAILED,
+    FINAL,
     JobQueue,
     JobRecord,
     ServiceError,
 )
-from repro.service.scheduler import ServicePool
+from repro.service.scheduler import ServicePool, check_poll
 from repro.service.spec import ScenarioSpec
 
 
@@ -97,23 +98,23 @@ class ServiceClient:
 
         Requires a scheduler draining the root somewhere (a ``serve``
         process or another thread); raises :class:`ServiceError` on
-        timeout.
+        timeout.  Without ``job_ids`` each poll parses only the records
+        not yet seen finished (see :meth:`JobQueue.scan`).
         """
+        check_poll(poll)
         deadline = None if timeout is None else time.monotonic() + timeout
+        final: set[str] = set()
+        seen: dict[str, JobRecord] = {}
         while True:
-            records = (
-                self.jobs()
-                if job_ids is None
-                else [self.queue.get(job_id) for job_id in job_ids]
-            )
-            if all(record.state in (DONE, FAILED) for record in records):
+            if job_ids is None:
+                seen.update((r.job_id, r) for r in self.queue.scan(final))
+                records = [seen[job_id] for job_id in sorted(seen)]
+            else:
+                records = [self.queue.get(job_id) for job_id in job_ids]
+            open_ids = [r.job_id for r in records if r.state not in FINAL]
+            if not open_ids:
                 return records
             if deadline is not None and time.monotonic() > deadline:
-                open_ids = [
-                    record.job_id
-                    for record in records
-                    if record.state not in (DONE, FAILED)
-                ]
                 raise ServiceError(
                     f"timed out waiting for job(s) {', '.join(open_ids)} "
                     "(is a scheduler serving this root?)"

@@ -12,7 +12,9 @@ make it crash-safe without a database:
 * **Single-writer transitions.**  After submission only the scheduler
   rewrites a record (``pending → running → done | failed``), through
   :func:`repro.io.atomic.atomic_write`, so readers always parse a
-  complete JSON document.
+  complete JSON document.  ``done`` and ``failed`` are final: nothing
+  rewrites a record after it reaches either, which is what lets
+  :meth:`JobQueue.scan` skip them.
 
 Job ids are their file names; the record payload carries the spec and
 the mutable scheduling state.
@@ -26,6 +28,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import observe as obs
 from repro.io.atomic import _fsync_dir, atomic_write
 from repro.service.spec import ScenarioSpec, SpecError, canonical_json
 
@@ -38,6 +41,8 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 STATES = (PENDING, RUNNING, DONE, FAILED)
+#: States a record never leaves.
+FINAL = (DONE, FAILED)
 
 #: How a finished job got its result.
 MODES = ("executed", "attached", "cached")
@@ -165,6 +170,7 @@ class JobQueue:
     # Reading
     # ------------------------------------------------------------------
     def _load(self, path: Path) -> JobRecord:
+        obs.add("service.records_loaded")
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
@@ -179,12 +185,31 @@ class JobQueue:
 
     def jobs(self) -> list[JobRecord]:
         """All records in id order (submission order)."""
+        return self.scan(set())
+
+    def scan(self, final: set) -> list[JobRecord]:
+        """The records whose ids are not in ``final``, in id order.
+
+        ``final`` is the caller's set of ids known to be done or failed;
+        each parsed record that is final joins it, so a caller that keeps
+        the set across calls parses every finished record once and every
+        pending or running record on every call.
+        """
         names = sorted(
             name
             for name in os.listdir(self.dir)
             if name.startswith("job-") and name.endswith(".json")
         )
-        return [self._load(self.dir / name) for name in names]
+        records = []
+        for name in names:
+            job_id = name[:-5]
+            if job_id in final:
+                continue
+            record = self._load(self.dir / name)
+            if record.state in FINAL:
+                final.add(job_id)
+            records.append(record)
+        return records
 
     def counts(self) -> dict:
         """State histogram of the queue."""

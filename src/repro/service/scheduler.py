@@ -10,7 +10,13 @@ publication races are first-writer-wins — but waste work).  Each
    with no published entry is retried with a fresh staging directory
    up to ``max_attempts`` times (``service.retries``), then all its
    jobs fail with the worker's reported error;
-2. schedules pending jobs in submission order — a job whose key is
+2. reads the new and non-terminal job records — ``done`` and ``failed``
+   records are final, so each is parsed once per pool, and a pass costs
+   O(active jobs), not O(queue depth);
+3. on the pool's first pass only, adopts ``running`` records left by a
+   dead scheduler — a published key completes them, otherwise they go
+   back to ``pending``;
+4. schedules pending jobs in submission order — a job whose key is
    already in flight *attaches* to that execution (``service.dedup``),
    a key with a published entry completes immediately
    (``service.cache_hits``), and otherwise a free worker slot forks a
@@ -24,7 +30,9 @@ handles the loss of the whole worker.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import multiprocessing.connection
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +51,12 @@ from repro.service.queue import (
 
 #: Default bound on execution attempts per key.
 DEFAULT_MAX_ATTEMPTS = 3
+
+
+def check_poll(poll: float) -> None:
+    """Reject a poll interval that is not a positive, finite duration."""
+    if not 0 < poll < math.inf:
+        raise ValueError(f"poll must be a positive number of seconds, got {poll}")
 
 
 def _pick_context():
@@ -109,6 +123,9 @@ class ServicePool:
         self._notify = notify
         self._ctx = _pick_context()
         self._execs: dict[str, _Execution] = {}
+        # Ids of records known to be done or failed: never read again.
+        self._final: set[str] = set()
+        self._first_pass = True
         # Crashed executions from a previous scheduler life left their
         # staging dirs behind; nothing else references tmp/.
         self.cache.clean_orphans()
@@ -170,6 +187,7 @@ class ServicePool:
         job.state = DONE
         job.mode = "cached"
         self.queue.update(job)
+        self._final.add(job.job_id)
         obs.add("service.cache_hits")
         self._log(f"{job.job_id} -> done (cache hit, key={job.key[:12]})")
 
@@ -181,6 +199,25 @@ class ServicePool:
             record.attempts = execution.attempts
             record.error = error
             self.queue.update(record)
+            self._final.add(job_id)
+
+    def _adopt(self, job: JobRecord) -> None:
+        """Take over a ``running`` job whose scheduler is gone.
+
+        A published key completes it, keeping its mode and attempts;
+        otherwise it goes back to ``pending``, as if never scheduled, and
+        this pass schedules it.
+        """
+        if self.cache.lookup(job.key) is not None:
+            job.state = DONE
+            self._final.add(job.job_id)
+        else:
+            job.state, job.mode, job.attempts = PENDING, None, 0
+        self.queue.update(job)
+        self._log(
+            f"{job.job_id} -> {job.state} (adopted from a dead scheduler, "
+            f"key={job.key[:12]})"
+        )
 
     # ------------------------------------------------------------------
     # Reaping and retries
@@ -242,8 +279,16 @@ class ServicePool:
     def step(self) -> bool:
         """One reap+schedule pass; ``True`` while work remains."""
         self._reap()
+        records = self.queue.scan(self._final)
+        if self._first_pass:
+            # This pool has no executions yet, so every running record
+            # belongs to a dead scheduler (one live scheduler per root).
+            self._first_pass = False
+            for job in records:
+                if job.state == RUNNING:
+                    self._adopt(job)
         waiting = 0
-        for job in self.queue.jobs():
+        for job in records:
             if job.state != PENDING:
                 continue
             execution = self._execs.get(job.key)
@@ -258,20 +303,32 @@ class ServicePool:
         return bool(self._execs) or waiting > 0
 
     def run(self, *, drain: bool = False, poll: float = 0.05) -> None:
-        """Schedule until interrupted — or, with ``drain``, until idle."""
+        """Schedule until interrupted — or, with ``drain``, until idle.
+
+        Between passes the pool sleeps ``poll`` seconds, or less when a
+        worker exits first: a finished worker is reaped at once, and new
+        submissions are seen every ``poll`` seconds.
+        """
+        check_poll(poll)
         with obs.phase("service.schedule"):
             while True:
                 active = self.step()
                 if drain and not active:
                     return
-                time.sleep(poll)
+                sentinels = [e.proc.sentinel for e in self._execs.values()]
+                if sentinels:
+                    multiprocessing.connection.wait(sentinels, timeout=poll)
+                else:
+                    time.sleep(poll)
 
     def shutdown(self, *, kill: bool = False) -> None:
         """Stop scheduling; optionally kill in-flight workers.
 
         Without ``kill``, in-flight workers keep running to completion
-        (their publishes remain valid; a later scheduler completes the
-        attached jobs from the cache).
+        (their publishes remain valid).  Either way their jobs stay
+        ``running`` on disk until a later scheduler adopts them: it
+        completes the published keys from the cache and re-executes the
+        rest.
         """
         for execution in self._execs.values():
             if kill and execution.proc is not None and execution.proc.is_alive():
